@@ -20,7 +20,6 @@ struct StaticDisaggEngine::Job {
   std::int64_t d_cached = 0;
 };
 
-MUX_CHANNEL_ENTRY
 StaticDisaggEngine::StaticDisaggEngine(sim::Simulator* simulator,
                                        const serve::Deployment& deployment,
                                        Options options)
@@ -94,7 +93,7 @@ void StaticDisaggEngine::OnDeadline(std::int64_t id) {
   }
 }
 
-MUX_SHARD_LOCAL void StaticDisaggEngine::PumpPrefill() {
+void StaticDisaggEngine::PumpPrefill() {
   if (DomainDown(0)) return;
   if (prefill_in_flight_ || waiting_.empty()) return;
 
@@ -190,10 +189,7 @@ void StaticDisaggEngine::OnPrefillBatchDone() {
     migrating_.push_back(std::move(job));
   }
   for (auto& req : completed) NotifyComplete(std::move(req));
-  // Prefill-side completion hands off to the decode shard through the
-  // cluster control channel; the same-tick delivery keeps the event
-  // stream identical while making the shard crossing explicit.
-  cluster_->control().Deliver([this] { TryMoveToDecode(); });
+  TryMoveToDecode();
   PumpPrefill();
 }
 
@@ -266,7 +262,7 @@ void StaticDisaggEngine::OnMigrationFailed(std::int64_t id) {
   }
 }
 
-MUX_SHARD_LOCAL void StaticDisaggEngine::MaybeStartDecodeIteration() {
+void StaticDisaggEngine::MaybeStartDecodeIteration() {
   if (DomainDown(1)) return;
   if (decode_in_flight_) return;
   std::vector<std::int64_t> ctx;
@@ -325,8 +321,8 @@ void StaticDisaggEngine::OnDecodeIterationDone() {
   TryMoveToDecode();
   MaybeStartDecodeIteration();
   // Decode-side drain may unblock prefill admission on the other
-  // instance: a cross-shard notification, routed via the channel.
-  cluster_->control().Deliver([this] { PumpPrefill(); });
+  // instance.
+  PumpPrefill();
 }
 
 void StaticDisaggEngine::Finish(Job* job) {
@@ -388,7 +384,7 @@ void StaticDisaggEngine::RecycleLost(
   PumpPrefill();
 }
 
-MUX_CHANNEL_ENTRY void StaticDisaggEngine::InjectCrash(std::size_t domain) {
+void StaticDisaggEngine::InjectCrash(std::size_t domain) {
   if (domain == 0) {
     MarkDown(0, true);
     ++p_epoch_;
@@ -465,13 +461,13 @@ void StaticDisaggEngine::InjectRecovery(std::size_t domain) {
   }
 }
 
-MUX_SHARD_LOCAL void StaticDisaggEngine::InjectStraggler(std::size_t domain,
-                                                          double slowdown) {
+void StaticDisaggEngine::InjectStraggler(std::size_t domain,
+                                         double slowdown) {
   if (domain >= cluster_->num_instances()) return;
   cluster_->instance(domain).device->SetSlowdown(slowdown);
 }
 
-MUX_CHANNEL_ENTRY void StaticDisaggEngine::AttachTracer(obs::Tracer tracer) {
+void StaticDisaggEngine::AttachTracer(obs::Tracer tracer) {
   fault::FaultAwareEngine::AttachTracer(tracer);
   cluster_->instance(0).device->SetTracer(tracer, "gpu0/");
   cluster_->instance(1).device->SetTracer(tracer, "gpu1/");

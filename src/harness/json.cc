@@ -1,12 +1,22 @@
 #include "harness/json.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace muxwise::harness::json {
 
 namespace {
+
+/**
+ * Deepest array/object nesting the parser accepts. Every document the
+ * repo reads nests at most a handful of levels; the cap keeps hostile
+ * input from recursing the parser off the end of the stack.
+ */
+constexpr int kMaxDepth = 64;
+
+bool IsHex(char c) { return std::isxdigit(static_cast<unsigned char>(c)); }
 
 class Parser {
  public:
@@ -51,8 +61,15 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Fail("unexpected end of input");
     const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      const bool ok = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = Value::Type::kString;
       return ParseString(out.string);
@@ -146,9 +163,13 @@ class Parser {
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) return Fail("short \\u escape");
-            // Our writers only emit \u00xx control escapes; decode the
-            // low byte and drop the (always-zero) high byte.
+            // Escape() only writes \u00xx control escapes; anything
+            // else would need UTF-8 encoding this parser does not do.
+            if (pos_ + 4 > text_.size() || text_[pos_] != '0' ||
+                text_[pos_ + 1] != '0' || !IsHex(text_[pos_ + 2]) ||
+                !IsHex(text_[pos_ + 3])) {
+              return Fail("unsupported \\u escape (only \\u00xx)");
+            }
             const std::string hex = text_.substr(pos_ + 2, 2);
             out.push_back(static_cast<char>(
                 std::strtol(hex.c_str(), nullptr, 16)));
@@ -174,14 +195,25 @@ class Parser {
       ++pos_;
     }
     if (pos_ == start) return Fail("expected number");
+    const std::string token = text_.substr(start, pos_ - start);
+    char* end = nullptr;
+    const double number = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) {
+      pos_ = start;
+      return Fail("malformed number \"" + token + "\"");
+    }
+    if (!std::isfinite(number)) {
+      pos_ = start;
+      return Fail("number out of range \"" + token + "\"");
+    }
     out.type = Value::Type::kNumber;
-    out.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                             nullptr);
+    out.number = number;
     return true;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 

@@ -83,6 +83,12 @@ bool GetInteger(const json::Value& object, const std::string& path,
   if (value != std::floor(value)) {
     return ctx.Fail(path + "." + key, "expected an integer");
   }
+  // 2^63 is exact in a double; every integral value in [-2^63, 2^63)
+  // converts to int64_t without overflow.
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (value < -kTwoTo63 || value >= kTwoTo63) {
+    return ctx.Fail(path + "." + key, "integer out of range");
+  }
   *out = static_cast<std::int64_t>(value);
   return true;
 }
@@ -794,7 +800,7 @@ serve::Deployment MakeDeployment(const ScenarioSpec& spec) {
  * Offline contention profiling is by far the most expensive step of a
  * scenario, and it depends only on the hardware/model shape — never on
  * SLO overrides (estimators are built from the pristine deployment) —
- * so matrix runs share one estimator across repeats and thread counts.
+ * so matrix runs share one estimator across repeats.
  */
 const core::ContentionEstimator& CachedEstimator(const ScenarioSpec& spec) {
   static std::map<std::string, std::unique_ptr<core::ContentionEstimator>>
@@ -836,8 +842,8 @@ ScenarioParseResult ParseScenarioJson(const std::string& text,
 
   ScenarioSpec spec;
   if (!CheckKeys(root, "(root)",
-                 {"name", "engine", "deployment", "threads", "trace", "slo",
-                  "run", "overload", "fleet", "faults", "recovery"},
+                 {"name", "engine", "deployment", "trace", "slo", "run",
+                  "overload", "fleet", "faults", "recovery"},
                  ctx)) {
     result.error = ctx.error;
     return result;
@@ -855,26 +861,11 @@ ScenarioParseResult ParseScenarioJson(const std::string& text,
     return result;
   }
 
-  std::int64_t threads = 1;
-  if (!ParseDeployment(root, spec, ctx) ||
-      !GetInteger(root, "(root)", "threads", false, 1, &threads, ctx) ||
-      !ParseTrace(root, spec, ctx) || !ParseSlo(root, spec, ctx) ||
-      !ParseRun(root, spec, ctx) || !ParseOverload(root, spec, ctx) ||
-      !ParseFleet(root, spec, ctx) || !ParseFaults(root, spec, ctx) ||
-      !ParseRecovery(root, spec, ctx)) {
+  if (!ParseDeployment(root, spec, ctx) || !ParseTrace(root, spec, ctx) ||
+      !ParseSlo(root, spec, ctx) || !ParseRun(root, spec, ctx) ||
+      !ParseOverload(root, spec, ctx) || !ParseFleet(root, spec, ctx) ||
+      !ParseFaults(root, spec, ctx) || !ParseRecovery(root, spec, ctx)) {
     result.error = ctx.error;
-    return result;
-  }
-  if (threads < 1 || threads > 64) {
-    result.error = source + ": threads: out of range [1, 64]";
-    return result;
-  }
-  spec.config.threads = static_cast<int>(threads);
-
-  if (spec.IsStreaming() && spec.config.threads != 1) {
-    result.error = source +
-                   ": threads: streaming scenarios are sequential-only "
-                   "(threads must be 1)";
     return result;
   }
 

@@ -196,7 +196,6 @@ StreamingOutcome RunStreamingWorkload(
     const StreamingSpec& spec,
     const core::ContentionEstimator* shared_estimator,
     const RunConfig& config) {
-  MUX_CHECK(config.threads == 1);
   MUX_CHECK(spec.rate_per_second > 0.0);
 
   sim::Simulator simulator;

@@ -79,8 +79,7 @@ struct StreamingOutcome {
  * built by MakeEngine, feeding completions straight into a sketch-backed
  * MetricsCollector. Arrivals self-schedule (each injects the next), so
  * the simulator queue and driver state stay O(in-flight) at any scale.
- * Sequential event loop only (config.threads must be 1); respects
- * config.event_budget as the livelock guard.
+ * Respects config.event_budget as the livelock guard.
  */
 StreamingOutcome RunStreamingWorkload(
     EngineKind kind, const serve::Deployment& deployment,

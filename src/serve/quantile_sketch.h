@@ -30,10 +30,10 @@ struct LatencySummary {
  * sub-buckets by the top mantissa bits). Bucketing is pure integer bit
  * manipulation on the IEEE-754 representation — no logs, no FP rounding
  * — so the histogram state is a platform-stable pure function of the
- * inserted multiset: identical at any insertion order, merge order, or
- * thread count. Memory is O(exact_capacity + kNumBuckets) regardless of
- * how many samples are added; the histogram is allocated lazily, so
- * small populations never pay for it.
+ * inserted multiset: identical at any insertion order or merge order.
+ * Memory is O(exact_capacity + kNumBuckets) regardless of how many
+ * samples are added; the histogram is allocated lazily, so small
+ * populations never pay for it.
  *
  * Histogram-tier quantiles carry a bounded relative value error: a
  * bucket spans a 1/32 slice of its binade, so the mid-bucket estimate
@@ -94,7 +94,7 @@ class QuantileSketch {
 
   /**
    * Order-invariant digest of the sketch state: equal multisets give
-   * equal digests at any insertion order, merge order, or thread count.
+   * equal digests at any insertion order or merge order.
    */
   std::uint64_t StateDigest() const;
 

@@ -18,11 +18,6 @@ Channel::Channel(Simulator* simulator, std::string name,
   MUX_CHECK(bandwidth_ > 0.0);
 }
 
-Channel::Channel(Simulator* simulator, std::string name)
-    : sim_(simulator), name_(std::move(name)) {
-  MUX_CHECK(sim_ != nullptr);
-}
-
 void Channel::EnableFaults(FaultModel model, Rng rng) {
   MUX_CHECK(model.failure_probability >= 0.0 &&
             model.failure_probability < 1.0);
@@ -46,7 +41,6 @@ void Channel::SetBandwidthScale(double scale) {
 void Channel::Transfer(double bytes, std::function<void()> done,
                        std::function<void()> failed) {
   MUX_CHECK(bytes >= 0.0);
-  MUX_CHECK(bandwidth_ > 0.0);  // Control-only channels cannot Transfer.
   StartAttempt(bytes, 1, std::move(done), std::move(failed));
 }
 

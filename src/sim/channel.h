@@ -9,39 +9,14 @@
 #include <utility>
 
 #include "sim/rng.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
-
-/**
- * Shard-boundary annotations, read by tools/muxlint's shard-safety pass.
- *
- * The parallel-simulation roadmap (ROADMAP item 2) partitions the event
- * loop by GPU instance. That is only safe if every cross-instance
- * interaction flows through an explicit sim::Channel, because a channel
- * crossing is where a sharded kernel inserts its synchronisation point.
- * The macros expand to nothing at compile time; they exist so the
- * analyzer can tell blessed cross-shard surfaces from accidental ones:
- *
- *  - MUX_SHARD_LOCAL marks a function that touches at most one GPU
- *    instance. muxlint flags it if it ever references two.
- *  - MUX_CHANNEL_ENTRY marks a deliberate cross-shard entry point — a
- *    function allowed to touch several instances because it *is* the
- *    channel discipline (constructors wiring a cluster, fault injection
- *    fan-out, channel completion handlers).
- *
- * Any unannotated function in src/core or src/baselines that references
- * two distinct instances is a muxlint `shard-safety` finding.
- */
-#define MUX_SHARD_LOCAL
-#define MUX_CHANNEL_ENTRY
 
 namespace muxwise::sim {
 
 /**
- * The one conduit for cross-instance interactions: interconnect
- * transfers (KV migration, spill/restore over host links), and
- * cluster-level control callbacks between shards.
+ * The one conduit for cross-instance data movement: interconnect
+ * transfers (KV migration, spill/restore over host links).
  *
  * Clocked transfers model a FIFO point-to-point wire: transfers queue
  * behind each other; duration is latency + bytes / bandwidth. The idle
@@ -49,13 +24,6 @@ namespace muxwise::sim {
  * after the link went idle starts immediately instead of inheriting
  * stale serialization state, and bytes/completion counters advance only
  * when the bytes actually land (never at enqueue).
- *
- * Control deliveries (`Deliver`) are same-tick hand-offs between
- * shards: they run inline today — the simulator is single-threaded, so
- * routing them through the channel changes no event ordering and no
- * digest — but they are counted, named, and statically enforceable,
- * which is exactly the surface a sharded event loop later turns into a
- * bounded-lookahead queue crossing.
  *
  * With EnableFaults() armed, each transfer attempt may be lost with the
  * model's probability (drawn from a seeded sim::Rng — deterministic).
@@ -83,12 +51,6 @@ class Channel {
   /** A clocked channel: FIFO wire with the given delay model. */
   Channel(Simulator* simulator, std::string name,
           double bandwidth_bytes_per_s, Duration latency);
-
-  /**
-   * A control-only channel (no wire model). Deliver() works; calling
-   * Transfer() on it is a fatal error.
-   */
-  Channel(Simulator* simulator, std::string name);
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
@@ -136,8 +98,7 @@ class Channel {
    * Typed transfer: carries `payload` across the wire and hands it to
    * exactly one of the two receivers. The payload is owned by the
    * channel while in flight, so the sender can release its side
-   * immediately — the shape a sharded kernel needs, since the receiving
-   * shard must not reach back into sender state.
+   * immediately.
    */
   template <typename Payload>
   void Send(double bytes, Payload payload,
@@ -154,18 +115,6 @@ class Channel {
         });
   }
 
-  /**
-   * Same-tick cross-shard control delivery: runs `fn` immediately (the
-   * simulator is single-threaded; no event is scheduled, so digests are
-   * unchanged) while making the crossing explicit and counted. Every
-   * cluster-level callback that hops between instances routes through
-   * here rather than calling the other shard directly.
-   */
-  MUX_CHANNEL_ENTRY void Deliver(const std::function<void()>& fn) {
-    ++deliveries_;
-    if (fn) fn();
-  }
-
   /** Total bytes that actually landed (retries count once, on success). */
   double bytes_transferred() const { return bytes_transferred_; }
 
@@ -178,29 +127,8 @@ class Channel {
   /** Transfers that exhausted their attempts (permanent failures). */
   std::size_t transfers_failed() const { return transfers_failed_; }
 
-  /** Same-tick control deliveries routed through this channel. */
-  std::size_t deliveries() const { return deliveries_; }
-
-  /** The wire's fixed latency term (0 on control-only channels). */
+  /** The wire's fixed latency term. */
   Duration latency() const { return latency_; }
-
-  /**
-   * Declares which shards this channel crosses — the partition-map
-   * metadata a sharded kernel reads to derive its lookahead bound.
-   * kNoShard on either side means "any shard" (a fabric link shared by
-   * all instance pairs, or a host-tier endpoint outside the partition).
-   * Annotation never changes behaviour on the sequential simulator.
-   */
-  void AnnotateShards(ShardId src_shard, ShardId dst_shard) {
-    src_shard_ = src_shard;
-    dst_shard_ = dst_shard;
-    shard_annotated_ = true;
-  }
-
-  /** True once AnnotateShards has declared the crossing. */
-  bool shard_annotated() const { return shard_annotated_; }
-  ShardId src_shard() const { return src_shard_; }
-  ShardId dst_shard() const { return dst_shard_; }
 
  private:
   /** Occupies the wire for one attempt and schedules its landing. */
@@ -209,7 +137,7 @@ class Channel {
 
   Simulator* sim_;
   std::string name_;
-  double bandwidth_ = 0.0;  // 0 marks a control-only channel.
+  double bandwidth_ = 0.0;
   double bandwidth_scale_ = 1.0;  // Degrade factor, (0, 1].
   bool link_up_ = true;           // Flap state; down loses every attempt.
   Duration latency_ = 0;
@@ -218,10 +146,6 @@ class Channel {
   std::size_t transfers_completed_ = 0;
   std::size_t attempts_failed_ = 0;
   std::size_t transfers_failed_ = 0;
-  std::size_t deliveries_ = 0;
-  ShardId src_shard_ = kNoShard;
-  ShardId dst_shard_ = kNoShard;
-  bool shard_annotated_ = false;
   FaultModel fault_model_;
   std::optional<Rng> fault_rng_;
 };

@@ -244,29 +244,6 @@ std::size_t Simulator::RunUntil(Time until, std::size_t max_events) {
   return n;
 }
 
-std::size_t Simulator::RunBefore(Time until, std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events) {
-    const HeapEntry* top = PeekLive();
-    if (top == nullptr || top->when >= until) break;
-    ExecuteTop();
-    ++n;
-  }
-  return n;
-}
-
-void Simulator::AdvanceTo(Time t) {
-  MUX_CHECK(t >= now_);
-  const HeapEntry* top = PeekLive();
-  MUX_CHECK(top == nullptr || top->when >= t);
-  now_ = t;
-}
-
-Time Simulator::NextEventTime() {
-  const HeapEntry* top = PeekLive();
-  return top == nullptr ? kTimeNever : top->when;
-}
-
 void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
   registry.Register(
       "Simulator", "event-queue-consistency",

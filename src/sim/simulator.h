@@ -96,30 +96,6 @@ class Simulator {
    */
   std::size_t RunUntil(Time until, std::size_t max_events);
 
-  /**
-   * Runs all events with timestamp strictly before `until`, leaving
-   * Now() at the last executed event's time (it never force-advances to
-   * `until`). This is the parallel kernel's window primitive: a shard
-   * executes its slice of a lookahead window [start, until) and the
-   * coordinator aligns clocks at the barrier via AdvanceTo(). Executes
-   * at most `max_events` (the livelock guard). Returns events executed.
-   */
-  std::size_t RunBefore(Time until, std::size_t max_events);
-
-  /**
-   * Advances Now() to `t` without executing anything. Fatal if an event
-   * earlier than `t` is still pending — advancing past it would violate
-   * causality. Used by the parallel kernel to align shard clocks at a
-   * window barrier.
-   */
-  void AdvanceTo(Time t);
-
-  /**
-   * Timestamp of the earliest pending event, kTimeNever when drained.
-   * Non-const: discards cancelled tombstones on its way to the answer.
-   */
-  Time NextEventTime();
-
   /** Executes exactly one event if any is pending. Returns true if so. */
   bool Step();
 
@@ -143,9 +119,8 @@ class Simulator {
 
   /**
    * Attaches (or detaches, with nullptr) an execution log: every event
-   * executed from then on appends its (when, id) pair. The parallel
-   * kernel merges per-shard logs into the global event stream at window
-   * barriers; recording never changes execution order or the digest.
+   * executed from then on appends its (when, id) pair; recording never
+   * changes execution order or the digest.
    * The log is owned by the caller and must outlive the attachment.
    */
   void SetExecutionLog(std::vector<ExecutedEvent>* log) { log_ = log; }

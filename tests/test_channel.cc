@@ -68,39 +68,22 @@ TEST(ChannelTest, TypedSendFailurePathCarriesPayloadToo) {
   EXPECT_EQ(channel.transfers_failed(), 1u);
 }
 
-TEST(ChannelTest, ControlChannelDeliversInlineWithoutScheduling) {
-  // Deliver() is the same-tick control crossing: it runs the callback
-  // immediately, schedules nothing, and therefore cannot perturb the
-  // event stream — only the delivery counter observes it.
-  Simulator simulator;
-  Channel control(&simulator, "test/control");
-  int ran_at_events = -1;
-  const std::uint64_t digest_before = simulator.EventDigest();
-  control.Deliver([&] { ran_at_events = 0; });
-  EXPECT_EQ(ran_at_events, 0);
-  EXPECT_EQ(control.deliveries(), 1u);
-  EXPECT_EQ(simulator.EventDigest(), digest_before);
-  simulator.Run();
-  EXPECT_EQ(simulator.EventDigest(), digest_before);
-}
-
 TEST(ChannelTest, ChannelsAreNamed) {
   Simulator simulator;
   Channel link(&simulator, "cluster/nvlink", 600e9, 0);
-  Channel control(&simulator, "cluster/control");
+  Channel spill(&simulator, "muxwise/host-spill", 25e9, 0);
   EXPECT_EQ(link.name(), "cluster/nvlink");
-  EXPECT_EQ(control.name(), "cluster/control");
+  EXPECT_EQ(spill.name(), "muxwise/host-spill");
 }
 
 // --- The refactor's acceptance criterion, frozen as a regression. ---
 //
-// Routing every cross-instance interaction through sim::Channel (the
-// Interconnect alias, typed Send payloads, control-channel deliveries)
-// must be invisible to the simulation: the per-engine event digests of
-// the acceptance scenario are bit-identical to the pre-refactor seed.
-// The constants live in tests/frozen_digests.h (recorded from the seed
-// BEFORE the refactor), shared with the parallel-kernel suite; any
-// drift means a structural change altered scheduling behaviour.
+// Routing every cross-instance transfer through sim::Channel (the
+// Interconnect alias, typed Send payloads) must be invisible to the
+// simulation: the per-engine event digests of the acceptance scenario
+// are bit-identical to the pre-refactor seed. The constants live in
+// tests/frozen_digests.h (recorded from the seed BEFORE the refactor);
+// any drift means a structural change altered scheduling behaviour.
 
 TEST(ChannelTest, SevenEngineDigestsMatchPreRefactorSeed) {
   const serve::Deployment deployment = tests::FrozenDeployment();

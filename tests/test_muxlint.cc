@@ -648,150 +648,6 @@ TEST(MuxlintTest, MutableGlobalScopedToSrc) {
       "mutable-global"));
 }
 
-// --- Shard safety: instance-key tracking and annotations ---
-
-TEST(MuxlintTest, ShardSafetyFlagsUnannotatedCrossInstanceFunction) {
-  const LintReport r = Lint(
-      "src/core/foo.cc",
-      "namespace muxwise::core {\n"
-      "void CrossTalk() {\n"
-      "  cluster_->instance(0).host->Submit(1);\n"
-      "  cluster_->instance(1).device->Run();\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-  EXPECT_EQ(r.findings[0].line, 2);
-}
-
-TEST(MuxlintTest, ShardSafetyAcceptsChannelEntryAnnotation) {
-  const LintReport r = Lint(
-      "src/core/foo.cc",
-      "namespace muxwise::core {\n"
-      "MUX_CHANNEL_ENTRY void Blessed() {\n"
-      "  cluster_->instance(0).host->Submit(1);\n"
-      "  cluster_->instance(1).host->Submit(1);\n"
-      "}\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyFlagsShardLocalViolation) {
-  const LintReport r = Lint(
-      "src/baselines/foo.cc",
-      "namespace muxwise::baselines {\n"
-      "MUX_SHARD_LOCAL void Sneaky() {\n"
-      "  cluster_->instance(0).host->Submit(1);\n"
-      "  cluster_->instance(d).host->Submit(1);\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-  EXPECT_NE(r.findings[0].message.find("MUX_SHARD_LOCAL"),
-            std::string::npos);
-}
-
-TEST(MuxlintTest, ShardSafetyAcceptsSingleInstanceFunctions) {
-  // One key — a bound alias reused many times — is shard-local in
-  // practice even without the annotation.
-  const LintReport r = Lint(
-      "src/baselines/foo.cc",
-      "namespace muxwise::baselines {\n"
-      "void PumpPrefill() {\n"
-      "  gpu::Instance& instance = cluster_->instance(0);\n"
-      "  instance.host->Submit(1);\n"
-      "  instance.device->Run();\n"
-      "}\n"
-      "void Straggle(std::size_t domain) {\n"
-      "  cluster_->instance(domain).device->Slow();\n"
-      "}\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyCountsEachAddInstanceDistinct) {
-  // Wiring two instances is a cross-shard act: the constructor must be
-  // a declared channel entry point.
-  const LintReport r = Lint(
-      "src/baselines/foo.cc",
-      "namespace muxwise::baselines {\n"
-      "void Wire() {\n"
-      "  prefill_ = &cluster_->AddInstance(4);\n"
-      "  decode_ = &cluster_->AddInstance(4);\n"
-      "}\n"
-      "}\n");
-  EXPECT_TRUE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyScopedToEngineLayers) {
-  const LintReport r = Lint(
-      "src/gpu/foo.cc",
-      "namespace muxwise::gpu {\n"
-      "void Touch() {\n"
-      "  cluster_->instance(0).host->Submit(1);\n"
-      "  cluster_->instance(1).host->Submit(1);\n"
-      "}\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyFlagsKernelMultiShardFunction) {
-  // In src/sim the vocabulary changes: reaching into several entries of
-  // the per-shard simulator table is the cross-shard act.
-  const LintReport r = Lint(
-      "src/sim/foo.cc",
-      "namespace muxwise::sim {\n"
-      "void Leak() {\n"
-      "  shards_[0]->Step();\n"
-      "  shards_[best]->Step();\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-  EXPECT_NE(r.findings[0].message.find("event-loop shards"),
-            std::string::npos);
-}
-
-TEST(MuxlintTest, ShardSafetyAcceptsAnnotatedKernelCrossing) {
-  const LintReport r = Lint(
-      "src/sim/foo.cc",
-      "namespace muxwise::sim {\n"
-      "MUX_CHANNEL_ENTRY void Drain() {\n"
-      "  shards_[d.dst]->ScheduleAt(d.when, fn);\n"
-      "  shards_[0]->Step();\n"
-      "}\n"
-      "MUX_SHARD_LOCAL void Slice(ShardId s) {\n"
-      "  counts_[s] = shards_[s]->RunBefore(end, budget);\n"
-      "}\n"
-      "void Accessor(ShardId s) { return *shards_[s]; }\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetyFlagsEngineShardHandleCoupling) {
-  // Grabbing two shard-local simulator handles couples shards exactly
-  // like touching two instances.
-  const LintReport r = Lint(
-      "src/core/foo.cc",
-      "namespace muxwise::core {\n"
-      "void Hop() {\n"
-      "  psim_->shard(0).ScheduleAfter(d, fn);\n"
-      "  psim_->shard(1).ScheduleAfter(d, fn);\n"
-      "}\n"
-      "}\n");
-  ASSERT_TRUE(HasRule(r, "shard-safety"));
-}
-
-TEST(MuxlintTest, ShardSafetySuppressibleOnSignatureLine) {
-  const LintReport r = Lint(
-      "src/core/foo.cc",
-      "namespace muxwise::core {\n"
-      "void Legacy() {  // muxlint: allow(shard-safety)\n"
-      "  cluster_->instance(0).host->Submit(1);\n"
-      "  cluster_->instance(1).host->Submit(1);\n"
-      "}\n"
-      "}\n");
-  EXPECT_FALSE(HasRule(r, "shard-safety"));
-  EXPECT_EQ(r.suppressed, 1u);
-}
-
 TEST(MuxlintTest, DanglingCallbackCoversTypedSend) {
   EXPECT_TRUE(HasRule(
       Lint("src/core/foo.cc",
@@ -951,7 +807,6 @@ TEST(MuxlintTest, RulesListCoversProjectRulesWithTiers) {
   EXPECT_EQ(tier_of("stale-allow"), "file");
   EXPECT_EQ(tier_of("layering"), "project");
   EXPECT_EQ(tier_of("mutable-global"), "project");
-  EXPECT_EQ(tier_of("shard-safety"), "project");
 }
 
 #ifdef MUXWISE_SOURCE_DIR

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "gpu/gpu_spec.h"
+#include "harness/json.h"
 #include "harness/runner.h"
 #include "harness/streaming.h"
 #include "llm/model_config.h"
@@ -82,17 +83,6 @@ TEST(ScenarioDslTest, EveryCheckedInScenarioParses) {
   EXPECT_GE(seen, 8u);  // 6 matrix scenarios + 2 nightly streaming ones.
 }
 
-TEST(ScenarioDslTest, ThreadCountDoesNotChangeTheDigest) {
-  ScenarioParseResult base =
-      LoadScenarioFile(RepoPath("scenarios/acceptance_sharegpt.json"));
-  ASSERT_TRUE(base.ok()) << base.error;
-  const RunOutcome single = RunScenario(*base.spec);
-  base.spec->config.threads = 4;
-  const RunOutcome sharded = RunScenario(*base.spec);
-  EXPECT_EQ(OutcomeDigest(single), OutcomeDigest(sharded));
-  EXPECT_EQ(single.event_digest, sharded.event_digest);
-}
-
 TEST(ScenarioDslTest, StreamingSmokeIsDeterministicAndAccurate) {
   const std::string text = R"json({
     "name": "stream-smoke",
@@ -139,6 +129,18 @@ TEST(ScenarioDslTest, RejectsUnknownKeysWithQualifiedPath) {
   EXPECT_NE(parsed.error.find("trace.mix"), std::string::npos)
       << parsed.error;
   EXPECT_NE(parsed.error.find("tpyo"), std::string::npos) << parsed.error;
+}
+
+TEST(ScenarioDslTest, RejectsThreadsAsUnknownRootKey) {
+  const ScenarioParseResult parsed = ParseScenarioJson(
+      R"({"name": "x", "threads": 4,
+          "trace": {"mix": [{"dataset": "sharegpt", "requests": 1,
+                             "rate_per_second": 1.0}]}})",
+      "inline");
+  EXPECT_FALSE(parsed.ok());
+  EXPECT_NE(parsed.error.find("(root): unknown key \"threads\""),
+            std::string::npos)
+      << parsed.error;
 }
 
 TEST(ScenarioDslTest, RejectsMissingName) {
@@ -333,6 +335,95 @@ TEST(ScenarioDslTest, AcceptsAFullGreyFaultBlock) {
   ASSERT_EQ(plan.partitions.size(), 1u);
   EXPECT_TRUE(plan.partitions[0].drop_from_replica);
   EXPECT_EQ(plan.Check(), "");
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: the JSON layer and the integer fields reject what they
+// cannot represent instead of running a silently different scenario
+// (or crashing).
+// ---------------------------------------------------------------------------
+
+std::string WithMixLeg(const std::string& leg_body) {
+  return R"({"name": "x",
+             "trace": {"mix": [{"dataset": "sharegpt", "requests": 1, )" +
+         leg_body + "}]}}";
+}
+
+TEST(ScenarioDslTest, RejectsMalformedNumber) {
+  ExpectRejects(WithMixLeg(R"("rate_per_second": 2.0.5-+e)"), "inline",
+                "malformed number \"2.0.5-+e\"");
+  ExpectRejects(WithMixLeg(R"("rate_per_second": 1-2)"), "inline",
+                "malformed number");
+}
+
+TEST(ScenarioDslTest, RejectsNonFiniteNumber) {
+  ExpectRejects(WithMixLeg(R"("rate_per_second": 1e999)"), "inline",
+                "number out of range \"1e999\"");
+  ExpectRejects(WithMixLeg(R"("rate_per_second": -1e999)"), "inline",
+                "number out of range");
+}
+
+TEST(ScenarioDslTest, RejectsIntegerOutsideInt64) {
+  ExpectRejects(WithMixLeg(R"("rate_per_second": 1.0, "seed": 1e300)"),
+                "trace.mix[0].seed", "integer out of range");
+  ExpectRejects(WithMixLeg(R"("rate_per_second": 1.0, "seed": -1e300)"),
+                "trace.mix[0].seed", "integer out of range");
+  // 2^63 is the first double past the int64_t range.
+  ExpectRejects(
+      WithMixLeg(R"("rate_per_second": 1.0, "seed": 9223372036854775808)"),
+      "trace.mix[0].seed", "integer out of range");
+  const ScenarioParseResult in_range = ParseScenarioJson(
+      WithMixLeg(R"("rate_per_second": 1.0, "seed": 4611686018427387904)"),
+      "inline");
+  ASSERT_TRUE(in_range.ok()) << in_range.error;
+  EXPECT_EQ(in_range.spec->mix[0].seed, 4611686018427387904ull);
+}
+
+TEST(ScenarioDslTest, RejectsDeepNestingWithoutRecursingAway) {
+  const std::size_t depth = 200000;
+  const std::string text = R"({"name": "x", "trace": )" +
+                           std::string(depth, '[') + std::string(depth, ']') +
+                           "}";
+  ExpectRejects(text, "inline", "nesting deeper than 64");
+}
+
+TEST(ScenarioDslTest, JsonNestingCapIsSixtyFourLevels) {
+  auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  json::Value value;
+  std::string error;
+  EXPECT_TRUE(json::Parse(nested(64), value, error)) << error;
+  EXPECT_FALSE(json::Parse(nested(65), value, error));
+  EXPECT_NE(error.find("nesting deeper than 64"), std::string::npos)
+      << error;
+}
+
+TEST(ScenarioDslTest, RejectsUnicodeEscapesOutsideTheWrittenForm) {
+  auto named = [](const std::string& name_literal) {
+    return R"({"name": ")" + name_literal + R"(",
+               "trace": {"mix": [{"dataset": "sharegpt", "requests": 1,
+                                  "rate_per_second": 1.0}]}})";
+  };
+  // A CJK code point would need UTF-8 encoding; it used to decode to
+  // its low byte, so "acc\u4e2dx" ran as "acc-x".
+  ExpectRejects(named(R"(acc\u4e2dx)"), "inline", "unsupported \\u escape");
+  ExpectRejects(named(R"(acc\u00zzx)"), "inline", "unsupported \\u escape");
+  ExpectRejects(R"({"name": "acc\u00)", "inline", "unsupported \\u escape");
+
+  const ScenarioParseResult parsed =
+      ParseScenarioJson(named(R"(acc\u002dx)"), "inline");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.spec->name, "acc-x");
+}
+
+TEST(ScenarioDslTest, JsonEscapeRoundTripsControlCharacters) {
+  const std::string raw = std::string("a\x01b\x1f") + "\"\\\n\t";
+  json::Value value;
+  std::string error;
+  ASSERT_TRUE(json::Parse("\"" + json::Escape(raw) + "\"", value, error))
+      << error;
+  EXPECT_EQ(value.string, raw);
 }
 
 }  // namespace

@@ -145,7 +145,7 @@ bool FromJson(const std::string& json, BenchReport& report,
     report.machine.compiler = GetString(machine->Find("compiler"));
     report.machine.build_type = GetString(machine->Find("build_type"));
     report.machine.cpus = static_cast<int>(GetNumber(machine->Find("cpus")));
-    // hw_threads joined the schema with the parallel kernel; older
+    // hw_threads joined the schema after its first release; older
     // reports simply leave it 0 (absent ≠ schema mismatch).
     report.machine.hw_threads =
         static_cast<int>(GetNumber(machine->Find("hw_threads")));

@@ -17,8 +17,7 @@ struct MachineInfo {
   /**
    * CPUs actually available to this process (Linux: the scheduling
    * affinity mask, so cgroup/container limits are respected), floor 1.
-   * This is the number that decides whether parallel-kernel speedup
-   * claims are meaningful on the recording machine.
+   * This is the number wall-time comparisons across machines need.
    */
   int cpus = 0;
 

@@ -5,8 +5,7 @@
 // experiment is bit-reproducible; a stray wall-clock read, unseeded
 // RNG, or pointer-keyed iteration anywhere in src/ silently breaks
 // that. On top of the line-scoped rules, project-aware passes enforce
-// the module layering DAG, ban mutable namespace-scope state, and
-// check shard safety (cross-instance interaction rides sim::Channel).
+// the module layering DAG and ban mutable namespace-scope state.
 // This binary enforces all of it statically and runs as a ctest over
 // src/ and tests/.
 //

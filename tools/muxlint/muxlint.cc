@@ -321,74 +321,6 @@ bool LooksLikeMutableGlobal(const std::string& code) {
   return std::regex_match(code, GlobalDeclPattern());
 }
 
-// --- Shard-safety: instance-key collection over function regions. ---
-//
-// `MUX_SHARD_LOCAL` / `MUX_CHANNEL_ENTRY` (src/sim/channel.h) mark the
-// blessed surface: a channel-entry function may touch many instances
-// (it IS the crossing); everything else must stay on one shard, with
-// cross-instance interaction riding sim::Channel. The pass tracks
-// every function region in src/core and src/baselines, collects the
-// distinct instance expressions it touches — `instance(<arg>)` keyed
-// by the normalised argument, one synthetic key per `AddInstance(...)`
-// call, plus `shard(<arg>)` keys for code that grabs shard-local
-// simulator handles — and flags regions reaching two or more keys
-// without a MUX_CHANNEL_ENTRY annotation.
-//
-// The parallel kernel itself (src/sim) is held to the same contract in
-// its own vocabulary: there the keys are `shards_[<expr>]` subscripts,
-// so any kernel function that reaches into several shards' event
-// queues must be one of the blessed crossing points (mailbox drain,
-// the merge, Step's global-minimum pick) and carry the annotation.
-
-struct FunctionRegion {
-  int start_line = 0;            // 1-based line of the opening brace.
-  std::size_t open_depth = 0;    // Scope-stack depth before the brace.
-  bool channel_entry = false;
-  bool shard_local = false;
-  std::set<std::string> instance_keys;
-  int synthetic = 0;             // AddInstance() counter.
-};
-
-void CollectInstanceKeys(const std::string& code, bool kernel_scope,
-                         FunctionRegion& region) {
-  const auto normalise = [](std::string key) {
-    key.erase(std::remove_if(key.begin(), key.end(),
-                             [](char c) { return c == ' ' || c == '\t'; }),
-              key.end());
-    return key;
-  };
-  if (kernel_scope) {
-    // Kernel vocabulary: a shard is touched by subscripting the
-    // per-shard simulator table.
-    static const std::regex* kShards =
-        new std::regex(R"(\bshards_\s*\[\s*([^\[\]]*?)\s*\])");
-    auto begin = std::sregex_iterator(code.begin(), code.end(), *kShards);
-    for (auto it = begin; it != std::sregex_iterator(); ++it) {
-      region.instance_keys.insert("shards#" + normalise((*it)[1].str()));
-    }
-    return;
-  }
-  static const std::regex* kInstance =
-      new std::regex(R"(\binstance\s*\(\s*([^()]*?)\s*\))");
-  auto begin = std::sregex_iterator(code.begin(), code.end(), *kInstance);
-  for (auto it = begin; it != std::sregex_iterator(); ++it) {
-    region.instance_keys.insert(normalise((*it)[1].str()));
-  }
-  // Engine code that grabs shard-local simulator handles couples shards
-  // exactly like touching the instances themselves.
-  static const std::regex* kShardHandle =
-      new std::regex(R"(\bshard\s*\(\s*([^()]*?)\s*\))");
-  auto hbegin = std::sregex_iterator(code.begin(), code.end(), *kShardHandle);
-  for (auto it = hbegin; it != std::sregex_iterator(); ++it) {
-    region.instance_keys.insert("shard#" + normalise((*it)[1].str()));
-  }
-  static const std::regex* kAdd = new std::regex(R"(\bAddInstance\s*\()");
-  auto abegin = std::sregex_iterator(code.begin(), code.end(), *kAdd);
-  for (auto it = abegin; it != std::sregex_iterator(); ++it) {
-    region.instance_keys.insert("added#" + std::to_string(region.synthetic++));
-  }
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -462,16 +394,8 @@ std::vector<RuleInfo> Rules() {
       "project"});
   rules.push_back(RuleInfo{
       "mutable-global",
-      "mutable namespace-scope state is shared across (future) event-"
-      "loop shards and breaks run isolation; scope it to an object or "
-      "make it constexpr",
-      "project"});
-  rules.push_back(RuleInfo{
-      "shard-safety",
-      "a function touching multiple distinct GPU instances — or, in "
-      "the parallel kernel, multiple event-loop shards — outside a "
-      "MUX_CHANNEL_ENTRY point couples shards directly; route the "
-      "interaction through sim::Channel or a ShardChannel",
+      "mutable namespace-scope state is shared across runs and breaks "
+      "run isolation; scope it to an object or make it constexpr",
       "project"});
   return rules;
 }
@@ -571,32 +495,22 @@ void LintContent(const std::string& path, const std::string& content,
     }
   }
 
-  // Pass 3: scope tracking for mutable-global and shard-safety.
+  // Pass 3: scope tracking for mutable-global.
   //
-  // The scope stack classifies each brace as namespace ('n'), class
-  // ('c'), or block ('b' — function bodies, control flow, lambdas,
-  // brace initialisers). Classification reads the code accumulated
-  // since the last `{`, `}`, or `;`. Preprocessor lines are skipped —
-  // they never open scopes here and #if arms would unbalance the
-  // count.
-  const bool check_globals = file_band >= 0;
-  const bool kernel_scope = InAnyScope(path, {"src/sim"});
-  const bool check_shards =
-      kernel_scope || InAnyScope(path, {"src/core", "src/baselines"});
-  if (check_globals || check_shards) {
+  // The scope stack records whether each open brace is a namespace
+  // (anything else — class bodies, function bodies, control flow,
+  // lambdas, brace initialisers — is not). Classification reads the
+  // code accumulated since the last `{`, `}`, or `;`. Preprocessor
+  // lines are skipped — they never open scopes here and #if arms would
+  // unbalance the count.
+  if (file_band >= 0) {
     static const std::regex kNamespace(R"(\bnamespace\b)");
-    static const std::regex kClassLike(R"(\b(class|struct|union|enum)\b)");
-    std::vector<char> scopes;
+    std::vector<bool> scopes;  // True for a namespace brace.
     std::string pending;
-    std::vector<FunctionRegion> regions;  // Innermost last.
 
     auto at_namespace_scope = [&scopes] {
       return std::all_of(scopes.begin(), scopes.end(),
-                         [](char s) { return s == 'n'; });
-    };
-    auto at_type_scope = [&scopes] {
-      return std::all_of(scopes.begin(), scopes.end(),
-                         [](char s) { return s == 'n' || s == 'c'; });
+                         [](bool is_namespace) { return is_namespace; });
     };
 
     for (std::size_t i = 0; i < n; ++i) {
@@ -608,67 +522,22 @@ void LintContent(const std::string& path, const std::string& content,
       // declaration; a non-empty pending accumulator means this line
       // continues a multi-line signature (e.g. a defaulted parameter
       // `int seed = 2024);`), which the declaration regex must not see.
-      if (check_globals && at_namespace_scope() && !scopes.empty() &&
+      if (at_namespace_scope() && !scopes.empty() &&
           Trim(pending).empty() && LooksLikeMutableGlobal(code)) {
         emit(i, "mutable-global",
              "mutable namespace-scope state in module '" + module +
-                 "': shared across event-loop shards and across runs; "
-                 "scope it to an owning object or make it constexpr",
+                 "': shared across runs; scope it to an owning object "
+                 "or make it constexpr",
              Trim(raw_lines[i]));
-      }
-
-      if (check_shards && !regions.empty()) {
-        CollectInstanceKeys(code, kernel_scope, regions.back());
       }
 
       for (char c : code) {
         if (c == '{') {
-          char kind = 'b';
-          if (std::regex_search(pending, kNamespace)) {
-            kind = 'n';
-          } else if (std::regex_search(pending, kClassLike)) {
-            kind = 'c';
-          }
-          if (check_shards && kind == 'b' && at_type_scope()) {
-            FunctionRegion region;
-            region.start_line = static_cast<int>(i) + 1;
-            region.open_depth = scopes.size();
-            region.channel_entry =
-                pending.find("MUX_CHANNEL_ENTRY") != std::string::npos;
-            region.shard_local =
-                pending.find("MUX_SHARD_LOCAL") != std::string::npos;
-            regions.push_back(region);
-          }
-          scopes.push_back(kind);
+          scopes.push_back(std::regex_search(pending, kNamespace));
           pending.clear();
         } else if (c == '}') {
           if (!scopes.empty()) scopes.pop_back();
           pending.clear();
-          if (!regions.empty() && scopes.size() <= regions.back().open_depth) {
-            const FunctionRegion region = regions.back();
-            regions.pop_back();
-            const std::size_t keys = region.instance_keys.size();
-            const std::size_t line_idx =
-                static_cast<std::size_t>(region.start_line) - 1;
-            const std::string what = kernel_scope
-                                         ? "event-loop shards"
-                                         : "distinct GPU instances";
-            if (region.shard_local && keys > 1) {
-              emit(line_idx, "shard-safety",
-                   "function declared MUX_SHARD_LOCAL touches " +
-                       std::to_string(keys) + " " + what +
-                       "; a shard-local function must stay on one",
-                   Trim(raw_lines[line_idx]));
-            } else if (!region.channel_entry && !region.shard_local &&
-                       keys > 1) {
-              emit(line_idx, "shard-safety",
-                   "function touches " + std::to_string(keys) + " " + what +
-                       " without MUX_CHANNEL_ENTRY; cross-shard "
-                       "interaction must ride a channel "
-                       "(or annotate the blessed entry point)",
-                   Trim(raw_lines[line_idx]));
-            }
-          }
         } else if (c == ';') {
           pending.clear();
         } else {

@@ -36,7 +36,7 @@ struct RuleInfo {
   std::string summary;
   // "line": regex over one comment-stripped line. "file": whole-file
   // convention. "project": cross-cutting architectural pass (include
-  // layering, global state, shard safety).
+  // layering, global state).
   std::string tier;
 };
 
