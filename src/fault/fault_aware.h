@@ -21,7 +21,7 @@ namespace muxwise::fault {
  * leaving the actual work reconstruction (what KV was lost, what to
  * re-enqueue where) to the engine, which is the only layer that knows.
  *
- * The epoch pattern: HostThread submissions and Interconnect transfers
+ * The epoch pattern: HostThread submissions and sim::Channel transfers
  * cannot be cancelled, so a crash cannot revoke callbacks already in
  * flight. Instead every engine-layer callback captures `epoch()` at
  * submission and no-ops when the engine's epoch has moved on — the

@@ -33,7 +33,7 @@ struct StragglerWindow {
 /**
  * During [from, to), each interconnect transfer attempt is lost with
  * `failure_probability` (the link retries with backoff; see
- * gpu::Interconnect::FaultModel).
+ * sim::Channel::FaultModel).
  */
 struct TransferFaultWindow {
   sim::Time from = 0;

@@ -19,15 +19,6 @@
 namespace muxwise::gpu {
 
 /**
- * A FIFO point-to-point link used for KV-cache migration between
- * disaggregated instances — now a named sim::Channel (the wire model,
- * fault machinery, and counters live there). The alias remains because
- * "interconnect" is the hardware-shaped name for a clocked inter-GPU
- * channel; new code may use sim::Channel directly.
- */
-using Interconnect = sim::Channel;
-
-/**
  * One serving instance: a symmetric tensor-parallel group of `tp_degree`
  * GPUs simulated as a single Gpu executing per-GPU work, plus the host
  * thread that launches onto it.

@@ -321,10 +321,7 @@ void Gpu::Rerate() {
       }
       run.last_update = now;
       run.current_total = 0;
-      if (run.completion != sim::kInvalidEventId) {
-        sim_->Cancel(run.completion);
-        run.completion = sim::kInvalidEventId;
-      }
+      sim_->Cancel(run.completion);
     }
     return;
   }
@@ -416,7 +413,7 @@ void Gpu::Rerate() {
     const double left = std::max(0.0, 1.0 - run.fraction_done);
     const sim::Duration time_left = std::max<sim::Duration>(
         1, static_cast<sim::Duration>(left * static_cast<double>(run.current_total)));
-    if (run.completion != sim::kInvalidEventId) sim_->Cancel(run.completion);
+    sim_->Cancel(run.completion);
     const StreamId id = r.id;
     run.completion =
         sim_->ScheduleAfter(time_left, [this, id] { Complete(id); });
@@ -457,9 +454,7 @@ std::size_t Gpu::AbortAll() {
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     Stream& s = streams_[i];
     if (s.running.has_value()) {
-      if (s.running->completion != sim::kInvalidEventId) {
-        sim_->Cancel(s.running->completion);
-      }
+      sim_->Cancel(s.running->completion);
       // The partial execution still occupied the stream.
       s.stats.busy_time += now - s.running->last_update;
       s.stats.last_activity = now;

@@ -223,7 +223,7 @@ class Gpu {
     double fraction_done = 0.0;
     sim::Time last_update = 0;
     sim::Duration current_total = 0;  // Full duration under current rates.
-    sim::EventId completion = sim::kInvalidEventId;
+    sim::EventHandle completion;
   };
 
   /** Sentinel for a not-yet-interned trace label cache entry. */

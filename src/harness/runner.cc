@@ -51,10 +51,8 @@ std::uint64_t MixSummary(std::uint64_t h, const serve::LatencySummary& s) {
   return MixDigest(h, static_cast<std::uint64_t>(s.count));
 }
 
-/**
- * Runs every audit the scenario's components registered; aborts on any
- * violation. Called at scenario end, once the event queue has quiesced.
- */
+}  // namespace
+
 void RunScenarioAudits(const sim::Simulator& simulator,
                        const serve::Engine& engine,
                        const serve::MetricsCollector& metrics,
@@ -70,8 +68,6 @@ void RunScenarioAudits(const sim::Simulator& simulator,
                check::FormatViolations(violations));
   }
 }
-
-}  // namespace
 
 DriveResult DriveScenario(sim::Simulator& simulator,
                           const serve::Frontend& frontend,
@@ -103,11 +99,7 @@ DriveResult DriveScenario(sim::Simulator& simulator,
   // Drain overran the timeout: let the backlog finish for partial
   // statistics (the run is already unstable), but keep the event budget
   // as the livelock guard for this phase too.
-  std::size_t backlog_events = 0;
-  while (!simulator.Empty() && backlog_events < config.event_budget) {
-    simulator.Step();
-    ++backlog_events;
-  }
+  simulator.Run(config.event_budget);
   if (!frontend.AllCompleted()) {
     const std::size_t total = trace.requests.size();
     const std::size_t stuck = total - frontend.completed();
@@ -258,31 +250,9 @@ RunOutcome RunWorkload(EngineKind kind, const serve::Deployment& deployment,
   outcome.ttft_per_token_sketch = metrics.ttft_per_token_sketch();
   outcome.tbt_attainment = metrics.TbtAttainment(deployment.slo.tbt);
 
-  // Canonical sketch-state witness over every population the collector
-  // keeps (aggregate and per-class): order-invariant by construction,
-  // so it is comparable at any merge order.
-  {
-    std::uint64_t sketch_digest = 0x243f6a8885a308d3ULL;
-    bool overflowed = false;
-    auto fold = [&sketch_digest, &overflowed](
-                    const serve::QuantileSketch& sketch) {
-      sketch_digest = MixDigest(sketch_digest, sketch.StateDigest());
-      overflowed = overflowed || sketch.overflowed();
-    };
-    fold(metrics.ttft_sketch());
-    fold(metrics.ttft_per_token_sketch());
-    fold(metrics.tbt_sketch());
-    fold(metrics.tpot_sketch());
-    fold(metrics.e2e_sketch());
-    for (int rank = 0; rank < workload::kNumSloClasses; ++rank) {
-      const serve::ClassMetrics& slice =
-          metrics.ClassSlice(static_cast<workload::SloClass>(rank));
-      fold(slice.queue_delay);
-      fold(slice.ttft);
-    }
-    outcome.metrics_state_digest = sketch_digest;
-    outcome.metrics_overflowed = overflowed;
-  }
+  const serve::MetricsCollector::SketchFold sketches = metrics.FoldSketches();
+  outcome.metrics_state_digest = sketches.digest;
+  outcome.metrics_overflowed = sketches.overflowed;
   outcome.meets_slo = outcome.stable && metrics.MeetsSlo(deployment.slo);
 
   const sim::Time end = std::max<sim::Time>(frontend.last_completion(), 1);

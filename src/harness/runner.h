@@ -27,6 +27,10 @@ class StaticDisaggEngine;
 class LoongServeEngine;
 }  // namespace muxwise::baselines
 
+namespace muxwise::fault {
+class FaultInjector;
+}  // namespace muxwise::fault
+
 namespace muxwise::harness {
 
 /** Every serving system implemented in this repository. */
@@ -267,6 +271,16 @@ DriveResult DriveScenario(sim::Simulator& simulator,
                           const serve::Frontend& frontend,
                           const workload::Trace& trace,
                           const RunConfig& config = RunConfig());
+
+/**
+ * Runs every audit the scenario's components registered; aborts on any
+ * violation. Called at scenario end, once the event queue has quiesced.
+ * `injector` is null when the run armed no fault plan.
+ */
+void RunScenarioAudits(const sim::Simulator& simulator,
+                       const serve::Engine& engine,
+                       const serve::MetricsCollector& metrics,
+                       const fault::FaultInjector* injector);
 
 /**
  * Replays `trace` through the chosen engine on a fresh simulator.

@@ -1,7 +1,6 @@
 #include "harness/streaming.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
@@ -11,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "check/invariant_registry.h"
 #include "kv/token_seq.h"
 #include "serve/engine.h"
 #include "serve/request.h"
@@ -28,10 +26,6 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-std::uint64_t MixDigest(std::uint64_t h, std::uint64_t v) {
-  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
 }
 
 /** Uniform in (0, 1]: counter-based, so request i's draws never depend
@@ -226,11 +220,7 @@ StreamingOutcome RunStreamingWorkload(
   // only empties once the last request reached a terminal state (or the
   // engine stalled, which leaves the queue empty too — the completion
   // count below distinguishes the two).
-  std::size_t executed = 0;
-  while (!simulator.Empty() && executed < config.event_budget) {
-    simulator.Step();
-    ++executed;
-  }
+  simulator.Run(config.event_budget);
   if (!simulator.Empty()) {
     outcome.diagnostic =
         "event budget of " + std::to_string(config.event_budget) +
@@ -252,45 +242,16 @@ StreamingOutcome RunStreamingWorkload(
   outcome.e2e = metrics.E2e();
   outcome.ttft_sketch = metrics.ttft_sketch();
 
-  // Same canonical sketch-state fold as RunWorkload (order-invariant).
-  {
-    std::uint64_t digest = 0x243f6a8885a308d3ULL;
-    bool overflowed = false;
-    std::size_t bytes = 0;
-    auto fold = [&](const serve::QuantileSketch& sketch) {
-      digest = MixDigest(digest, sketch.StateDigest());
-      overflowed = overflowed || sketch.overflowed();
-      bytes += sketch.MemoryBytes();
-    };
-    fold(metrics.ttft_sketch());
-    fold(metrics.ttft_per_token_sketch());
-    fold(metrics.tbt_sketch());
-    fold(metrics.tpot_sketch());
-    fold(metrics.e2e_sketch());
-    for (int rank = 0; rank < workload::kNumSloClasses; ++rank) {
-      const serve::ClassMetrics& slice =
-          metrics.ClassSlice(static_cast<workload::SloClass>(rank));
-      fold(slice.queue_delay);
-      fold(slice.ttft);
-    }
-    outcome.metrics_state_digest = digest;
-    outcome.metrics_overflowed = overflowed;
-    outcome.metric_bytes = bytes;
-  }
+  const serve::MetricsCollector::SketchFold sketches = metrics.FoldSketches();
+  outcome.metrics_state_digest = sketches.digest;
+  outcome.metrics_overflowed = sketches.overflowed;
+  outcome.metric_bytes = sketches.bytes;
 
   outcome.event_digest = simulator.EventDigest();
   outcome.executed_events = simulator.ExecutedEvents();
 
   if (outcome.stable) {
-    check::InvariantRegistry registry;
-    simulator.RegisterAudits(registry);
-    instance.engine->RegisterAudits(registry);
-    metrics.RegisterAudits(registry);
-    const std::vector<check::Violation> violations = registry.RunAll();
-    if (!violations.empty()) {
-      sim::Panic("invariant audit failed at stream end:\n" +
-                 check::FormatViolations(violations));
-    }
+    RunScenarioAudits(simulator, *instance.engine, metrics, nullptr);
   }
   return outcome;
 }

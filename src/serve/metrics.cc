@@ -18,6 +18,14 @@ LatencySummary Summarize(const std::vector<double>& samples_ms) {
   return sketch.Summarize();
 }
 
+namespace {
+
+std::uint64_t MixDigest(std::uint64_t h, std::uint64_t v) {
+  return h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
+}
+
+}  // namespace
+
 double ClassMetrics::Attainment() const {
   if (split.total() == 0) return 1.0;
   return static_cast<double>(ttft_attained) /
@@ -99,6 +107,26 @@ bool MetricsCollector::HasClassMix() const {
   using workload::SloClass;
   return ClassSlice(SloClass::kInteractive).split.total() > 0 ||
          ClassSlice(SloClass::kBatch).split.total() > 0;
+}
+
+MetricsCollector::SketchFold MetricsCollector::FoldSketches() const {
+  SketchFold fold;
+  fold.digest = 0x243f6a8885a308d3ULL;
+  auto add = [&fold](const QuantileSketch& sketch) {
+    fold.digest = MixDigest(fold.digest, sketch.StateDigest());
+    fold.overflowed = fold.overflowed || sketch.overflowed();
+    fold.bytes += sketch.MemoryBytes();
+  };
+  add(ttft_);
+  add(ttft_per_token_);
+  add(tbt_);
+  add(tpot_);
+  add(e2e_);
+  for (const ClassMetrics& slice : per_class_) {
+    add(slice.queue_delay);
+    add(slice.ttft);
+  }
+  return fold;
 }
 
 double MetricsCollector::TbtAttainment(sim::Duration tbt_target) const {

@@ -147,6 +147,21 @@ class MetricsCollector {
   const QuantileSketch& tpot_sketch() const { return tpot_; }
   const QuantileSketch& e2e_sketch() const { return e2e_; }
 
+  /**
+   * Canonical sketch-state witness over every population the collector
+   * keeps: the five aggregate sketches, then each class's queue-delay
+   * and TTFT sketches. Order-invariant by construction, so it is
+   * comparable at any merge order.
+   */
+  struct SketchFold {
+    std::uint64_t digest = 0;
+    /** Some sketch left its exact tier. */
+    bool overflowed = false;
+    /** Bytes held by all those sketches. */
+    std::size_t bytes = 0;
+  };
+  SketchFold FoldSketches() const;
+
   /** Fraction of token gaps within the TBT target. */
   double TbtAttainment(sim::Duration tbt_target) const;
 

@@ -10,14 +10,20 @@ Duration BackoffDelay(const ExponentialBackoff& policy, int attempt) {
   Duration delay = policy.initial;
   if (delay >= policy.cap) return policy.cap;
   for (int i = 1; i < attempt; ++i) {
-    // Doubling stays in integer arithmetic so the shared helper is
-    // bit-identical to the retry loop it replaced in sim::Channel.
-    const Duration next =
-        policy.multiplier == 2.0
-            ? delay * 2
-            : static_cast<Duration>(static_cast<double>(delay) *
-                                    policy.multiplier);
-    if (next >= policy.cap || next < delay) return policy.cap;
+    // A next delay past the largest Duration is past any cap; each branch
+    // tests for it before computing it, since the overflow is undefined.
+    Duration next = 0;
+    if (policy.multiplier == 2.0) {
+      // Doubling stays in integer arithmetic so the shared helper is
+      // bit-identical to the retry loop it replaced in sim::Channel.
+      if (delay > kTimeNever / 2) return policy.cap;
+      next = delay * 2;
+    } else {
+      const double scaled = static_cast<double>(delay) * policy.multiplier;
+      if (scaled >= 0x1p63) return policy.cap;
+      next = static_cast<Duration>(scaled);
+    }
+    if (next >= policy.cap) return policy.cap;
     delay = next;
   }
   return delay;

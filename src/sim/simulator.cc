@@ -7,76 +7,6 @@
 
 namespace muxwise::sim {
 
-namespace {
-
-/** Mixes a 64-bit key (splitmix64 finalizer) for the id index. */
-std::uint64_t HashId(std::uint64_t h) {
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
-}
-
-}  // namespace
-
-// --- IdIndex ---------------------------------------------------------------
-
-void Simulator::IdIndex::Grow() {
-  const std::size_t capacity = cells_.empty() ? 64 : cells_.size() * 2;
-  std::vector<Cell> old = std::move(cells_);
-  cells_.assign(capacity, Cell{});
-  const std::size_t mask = capacity - 1;
-  for (const Cell& cell : old) {
-    if (cell.id == kInvalidEventId) continue;
-    std::size_t i = HashId(cell.id) & mask;
-    while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
-    cells_[i] = cell;
-  }
-}
-
-void Simulator::IdIndex::Insert(EventId id, std::uint32_t slot) {
-  // Keep the load factor under 3/4 so probe chains stay short.
-  if (cells_.empty() || (size_ + 1) * 4 >= cells_.size() * 3) Grow();
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t i = HashId(id) & mask;
-  while (cells_[i].id != kInvalidEventId) i = (i + 1) & mask;
-  cells_[i].id = id;
-  cells_[i].slot = slot;
-  ++size_;
-}
-
-bool Simulator::IdIndex::Erase(EventId id, std::uint32_t* slot) {
-  if (size_ == 0) return false;
-  const std::size_t mask = cells_.size() - 1;
-  std::size_t i = HashId(id) & mask;
-  while (cells_[i].id != id) {
-    if (cells_[i].id == kInvalidEventId) return false;
-    i = (i + 1) & mask;
-  }
-  *slot = cells_[i].slot;
-  --size_;
-  // Backward-shift deletion: close the probe chain without tombstones.
-  std::size_t hole = i;
-  std::size_t probe = i;
-  while (true) {
-    probe = (probe + 1) & mask;
-    if (cells_[probe].id == kInvalidEventId) break;
-    const std::size_t home = HashId(cells_[probe].id) & mask;
-    // `probe`'s entry may fill the hole iff its home position does not
-    // lie in the (cyclic) open interval (hole, probe].
-    const bool movable = hole <= probe ? (home <= hole || home > probe)
-                                       : (home <= hole && home > probe);
-    if (movable) {
-      cells_[hole] = cells_[probe];
-      hole = probe;
-    }
-  }
-  cells_[hole] = Cell{};
-  return true;
-}
-
 // --- Event arena -----------------------------------------------------------
 
 std::uint32_t Simulator::AllocSlot() {
@@ -141,7 +71,7 @@ const Simulator::HeapEntry* Simulator::PeekLive() {
 
 // --- Scheduling API --------------------------------------------------------
 
-EventId Simulator::ScheduleAt(Time when, Callback cb) {
+EventHandle Simulator::ScheduleAt(Time when, Callback cb) {
   MUX_CHECK(when >= now_);
   MUX_CHECK(cb != nullptr);
   const std::uint32_t slot = AllocSlot();
@@ -149,24 +79,27 @@ EventId Simulator::ScheduleAt(Time when, Callback cb) {
   event.when = when;
   event.id = next_id_++;
   event.callback = std::move(cb);
-  index_.Insert(event.id, slot);
   HeapPush(HeapEntry{when, event.id, slot});
   ++live_events_;
-  return event.id;
+  return EventHandle{event.id, slot};
 }
 
-EventId Simulator::ScheduleAfter(Duration delay, Callback cb) {
+EventHandle Simulator::ScheduleAfter(Duration delay, Callback cb) {
   MUX_CHECK(delay >= 0);
   return ScheduleAt(now_ + delay, std::move(cb));
 }
 
-bool Simulator::Cancel(EventId id) {
-  std::uint32_t slot = 0;
-  if (!index_.Erase(id, &slot)) return false;
-  MUX_CHECK(pool_[slot].id == id);
+bool Simulator::Cancel(EventHandle handle) {
+  // The slot still holds the handle's serial only while the event is
+  // pending: firing or cancelling frees the slot, and a recycled slot
+  // carries a newer, larger serial.
+  if (handle.id == kInvalidEventId || handle.slot >= pool_.size() ||
+      pool_[handle.slot].id != handle.id) {
+    return false;
+  }
   // Freeing the slot releases the callback now and implicitly turns the
   // heap entry into a tombstone discarded on its way to the top.
-  FreeSlot(slot);
+  FreeSlot(handle.slot);
   MUX_CHECK(live_events_ > 0);
   --live_events_;
   return true;
@@ -190,9 +123,6 @@ void Simulator::ExecuteTop() {
   // Detach the callback and release the slot *before* invoking, so the
   // callback can schedule (possibly reusing this slot) or cancel freely.
   Callback callback = std::move(event.callback);
-  std::uint32_t indexed_slot = 0;
-  const bool indexed = index_.Erase(entry.id, &indexed_slot);
-  MUX_CHECK(indexed);
   FreeSlot(entry.slot);
   MUX_CHECK(live_events_ > 0);
   --live_events_;
@@ -208,22 +138,9 @@ bool Simulator::Step() {
   return true;
 }
 
-std::size_t Simulator::Run() {
+std::size_t Simulator::Run(std::size_t max_events) {
   std::size_t n = 0;
-  while (Step()) ++n;
-  return n;
-}
-
-std::size_t Simulator::RunUntil(Time until) {
-  MUX_CHECK(until >= now_);
-  std::size_t n = 0;
-  while (true) {
-    const HeapEntry* top = PeekLive();
-    if (top == nullptr || top->when > until) break;
-    ExecuteTop();
-    ++n;
-  }
-  now_ = until;
+  while (n < max_events && Step()) ++n;
   return n;
 }
 
@@ -249,8 +166,8 @@ void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
       "Simulator", "event-queue-consistency",
       [this](check::AuditContext& ctx) {
         // Every live event owns exactly one arena slot (cancelled events
-        // free their slot immediately), and the cancellation index holds
-        // exactly the live ids.
+        // free their slot immediately) and one heap entry (tombstones
+        // only add entries).
         std::size_t live = 0;
         Time min_when = kTimeNever;
         for (const Event& event : pool_) {
@@ -264,9 +181,9 @@ void Simulator::RegisterAudits(check::InvariantRegistry& registry) const {
         ctx.Check(live == live_events_,
                   "live-event count " + std::to_string(live_events_) +
                       " disagrees with arena scan " + std::to_string(live));
-        ctx.Check(index_.size() == live_events_,
-                  "cancellation index holds " + std::to_string(index_.size()) +
-                      " ids for " + std::to_string(live_events_) +
+        ctx.Check(heap_.size() >= live_events_,
+                  "heap holds " + std::to_string(heap_.size()) +
+                      " entries for " + std::to_string(live_events_) +
                       " live events");
         if (live > 0) {
           ctx.Check(min_when >= now_,

@@ -1,6 +1,7 @@
 #ifndef MUXWISE_SIM_SIMULATOR_H_
 #define MUXWISE_SIM_SIMULATOR_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -11,9 +12,21 @@
 
 namespace muxwise::sim {
 
-/** Opaque handle used to cancel a scheduled event. */
+/**
+ * Monotonic event serial: the FIFO tie-break between same-time events
+ * and the value folded into the event digest.
+ */
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
+
+/**
+ * Names one scheduled event for Cancel(): its serial plus the arena slot
+ * it occupies. A default handle names no event.
+ */
+struct EventHandle {
+  EventId id = kInvalidEventId;
+  std::uint32_t slot = 0;
+};
 
 /**
  * Discrete-event simulator core.
@@ -33,9 +46,10 @@ inline constexpr EventId kInvalidEventId = 0;
  *    the FIFO tie-break serial for same-timestamp events *and* as the
  *    staleness witness for cancelled entries (a heap entry whose id no
  *    longer matches its pool slot is a tombstone, skipped on pop).
- *  - Cancellation looks the id up in a flat open-addressing table
- *    (linear probing, backward-shift deletion) instead of a node-based
- *    std::unordered_map.
+ *  - Cancellation is O(1) with no map: an EventHandle carries the
+ *    event's slot, and the slot still holding the handle's serial proves
+ *    the event is pending (a fired or cancelled event freed its slot, and
+ *    a recycled slot holds a newer, larger serial).
  *
  * None of this changes observable ordering: events still execute in
  * exactly (when, id) order, so event-stream digests are bit-identical
@@ -66,35 +80,35 @@ class Simulator {
    * Schedules `cb` to run at absolute time `when` (>= Now()).
    * Returns a handle usable with Cancel().
    */
-  EventId ScheduleAt(Time when, Callback cb);
+  EventHandle ScheduleAt(Time when, Callback cb);
 
   /** Schedules `cb` to run `delay` after the current time. */
-  EventId ScheduleAfter(Duration delay, Callback cb);
+  EventHandle ScheduleAfter(Duration delay, Callback cb);
 
   /**
-   * Cancels a pending event. Safe to call with an id that already fired
-   * or was already cancelled (both are no-ops returning false).
+   * Cancels a pending event. Safe to call with a default handle or one
+   * whose event already fired or was already cancelled (all no-ops
+   * returning false).
    */
-  bool Cancel(EventId id);
+  bool Cancel(EventHandle handle);
 
-  /** Runs until the event queue drains. Returns events executed. */
-  std::size_t Run();
+  /**
+   * Runs until the event queue drains or `max_events` events have run.
+   * The budget is the guard that lets a caller terminate a livelocked
+   * scenario (e.g. a zero-delay event loop that never advances time)
+   * with a diagnostic instead of spinning forever. Now() stays at the
+   * last executed event's time. Returns events executed.
+   */
+  std::size_t Run(std::size_t max_events = SIZE_MAX);
 
   /**
    * Runs all events with timestamp <= `until`, then sets Now() to `until`
-   * (even if the queue drained earlier). Returns events executed.
+   * (even if the queue drained earlier), executing at most `max_events`
+   * events. When the budget ends the run early, Now() stays at the last
+   * executed event's time rather than advancing to `until`. Returns
+   * events executed.
    */
-  std::size_t RunUntil(Time until);
-
-  /**
-   * Like RunUntil(until), but executes at most `max_events` events — the
-   * guard that lets a driver terminate a livelocked scenario (e.g. a
-   * zero-delay event loop that never advances time) with a diagnostic
-   * instead of spinning forever. When the budget ends the run early,
-   * Now() stays at the last executed event's time rather than advancing
-   * to `until`. Returns events executed.
-   */
-  std::size_t RunUntil(Time until, std::size_t max_events);
+  std::size_t RunUntil(Time until, std::size_t max_events = SIZE_MAX);
 
   /** Executes exactly one event if any is pending. Returns true if so. */
   bool Step();
@@ -127,8 +141,8 @@ class Simulator {
 
   /**
    * Registers event-queue consistency audits: the live-event count
-   * matches the arena scan, no pending event precedes Now(), and the
-   * cancellation index agrees with the arena.
+   * matches the arena scan, the heap holds at least one entry per live
+   * event, and no pending event precedes Now().
    */
   void RegisterAudits(check::InvariantRegistry& registry) const;
 
@@ -159,32 +173,6 @@ class Simulator {
     if (a.when != b.when) return a.when < b.when;
     return a.id < b.id;
   }
-
-  /**
-   * Flat open-addressing id -> slot map (linear probing, backward-shift
-   * deletion). Allocation-free at steady state; kInvalidEventId marks an
-   * empty cell.
-   */
-  class IdIndex {
-   public:
-    void Insert(EventId id, std::uint32_t slot);
-
-    /** Removes `id`, storing its slot. False when absent. */
-    bool Erase(EventId id, std::uint32_t* slot);
-
-    std::size_t size() const { return size_; }
-
-   private:
-    struct Cell {
-      EventId id = kInvalidEventId;
-      std::uint32_t slot = 0;
-    };
-
-    void Grow();
-
-    std::vector<Cell> cells_;
-    std::size_t size_ = 0;
-  };
 
   std::uint32_t AllocSlot();
   void FreeSlot(std::uint32_t slot);
@@ -219,7 +207,6 @@ class Simulator {
   std::vector<Event> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;
   std::vector<HeapEntry> heap_;
-  IdIndex index_;
 };
 
 }  // namespace muxwise::sim

@@ -78,10 +78,10 @@ TEST(ChannelTest, ChannelsAreNamed) {
 
 // --- The refactor's acceptance criterion, frozen as a regression. ---
 //
-// Routing every cross-instance transfer through sim::Channel (the
-// Interconnect alias, typed Send payloads) must be invisible to the
-// simulation: the per-engine event digests of the acceptance scenario
-// are bit-identical to the pre-refactor seed. The constants live in
+// Routing every cross-instance transfer through sim::Channel (typed
+// Send payloads included) must be invisible to the simulation: the
+// per-engine event digests of the acceptance scenario are
+// bit-identical to the pre-refactor seed. The constants live in
 // tests/frozen_digests.h (recorded from the seed BEFORE the refactor);
 // any drift means a structural change altered scheduling behaviour.
 

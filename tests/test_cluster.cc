@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "gpu/gpu_spec.h"
+#include "sim/channel.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -15,7 +16,7 @@ using sim::Time;
 
 TEST(InterconnectTest, TransferTakesLatencyPlusWireTime) {
   sim::Simulator simulator;
-  Interconnect link(&simulator, "test/link", 600e9,
+  sim::Channel link(&simulator, "test/link", 600e9,
                     sim::Microseconds(10));
   Time done = -1;
   link.Transfer(600e6, [&] { done = simulator.Now(); });  // 1 ms of wire.
@@ -27,7 +28,7 @@ TEST(InterconnectTest, TransferTakesLatencyPlusWireTime) {
 
 TEST(InterconnectTest, TransfersQueueFifo) {
   sim::Simulator simulator;
-  Interconnect link(&simulator, "test/link", 600e9, 0);
+  sim::Channel link(&simulator, "test/link", 600e9, 0);
   Time first = -1, second = -1;
   link.Transfer(600e6, [&] { first = simulator.Now(); });    // 1 ms.
   link.Transfer(1200e6, [&] { second = simulator.Now(); });  // +2 ms.
@@ -41,7 +42,7 @@ TEST(InterconnectTest, IdleLinkDoesNotInheritStaleSerialization) {
   // clamped to Now(), so a transfer issued long after the link went idle
   // inherited the stale serialization point instead of starting fresh.
   sim::Simulator simulator;
-  Interconnect link(&simulator, "test/link", 600e9, 0);
+  sim::Channel link(&simulator, "test/link", 600e9, 0);
   Time first = -1, second = -1;
   link.Transfer(600e6, [&] { first = simulator.Now(); });  // 1 ms of wire.
   simulator.ScheduleAt(sim::Seconds(1), [&] {
@@ -58,7 +59,7 @@ TEST(InterconnectTest, BackToBackTransfersStillSerialize) {
   // Companion to the clamp regression: when the wire genuinely is busy,
   // serialization must be preserved exactly as before.
   sim::Simulator simulator;
-  Interconnect link(&simulator, "test/link", 600e9, 0);
+  sim::Channel link(&simulator, "test/link", 600e9, 0);
   std::vector<Time> done;
   for (int i = 0; i < 3; ++i) {
     link.Transfer(600e6, [&] { done.push_back(simulator.Now()); });
@@ -73,7 +74,7 @@ TEST(InterconnectTest, BackToBackTransfersStillSerialize) {
 
 TEST(InterconnectTest, ZeroByteTransferStillHasLatency) {
   sim::Simulator simulator;
-  Interconnect link(&simulator, "test/link", 600e9,
+  sim::Channel link(&simulator, "test/link", 600e9,
                     sim::Microseconds(10));
   Time done = -1;
   link.Transfer(0.0, [&] { done = simulator.Now(); });

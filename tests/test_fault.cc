@@ -18,6 +18,7 @@
 #include "llm/model_config.h"
 #include "serve/deployment.h"
 #include "serve/frontend.h"
+#include "sim/channel.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "workload/datasets.h"
@@ -241,8 +242,8 @@ TEST(RecoveryPolicyTest, DeadlineScalesWithRequestLength) {
 
 TEST(InterconnectFaultTest, PermanentLossExhaustsAttemptsWithBackoff) {
   sim::Simulator simulator;
-  gpu::Interconnect link(&simulator, "test/link", 600e9, 0);
-  gpu::Interconnect::FaultModel model;
+  sim::Channel link(&simulator, "test/link", 600e9, 0);
+  sim::Channel::FaultModel model;
   model.failure_probability = 0.999999;  // Every attempt is lost.
   model.max_attempts = 2;
   model.initial_backoff = sim::Milliseconds(2);
@@ -264,8 +265,8 @@ TEST(InterconnectFaultTest, PermanentLossExhaustsAttemptsWithBackoff) {
 
 TEST(InterconnectFaultTest, LossyLinkConservesTransferAccounting) {
   sim::Simulator simulator;
-  gpu::Interconnect link(&simulator, "test/link", 600e9, 0);
-  gpu::Interconnect::FaultModel model;
+  sim::Channel link(&simulator, "test/link", 600e9, 0);
+  sim::Channel::FaultModel model;
   model.failure_probability = 0.5;
   model.max_attempts = 3;
   model.initial_backoff = sim::Microseconds(100);
@@ -288,8 +289,8 @@ TEST(InterconnectFaultTest, UnarmedLinkBehaviorIsUnchanged) {
   // A link that never had EnableFaults() called must take the exact
   // fault-free path: same completion time, no failure accounting.
   sim::Simulator simulator;
-  gpu::Interconnect link(&simulator, "test/link", 600e9,
-                         sim::Microseconds(10));
+  sim::Channel link(&simulator, "test/link", 600e9,
+                    sim::Microseconds(10));
   sim::Time done = -1;
   link.Transfer(600e6, [&] { done = simulator.Now(); });
   simulator.Run();

@@ -69,7 +69,7 @@ TEST(SimulatorTest, SameTickStormKeepsFifoUnderCancellationChurn) {
   std::vector<int> expected;
   for (int round = 0; round < 40; ++round) {
     const Time tick = Milliseconds(round + 1);
-    std::vector<EventId> ids;
+    std::vector<EventHandle> ids;
     for (int i = 0; i < 64; ++i) {
       ids.push_back(simulator.ScheduleAt(
           tick, [&order, round, i] { order.push_back(round * 64 + i); }));
@@ -99,7 +99,7 @@ TEST(SimulatorTest, SameTickStormDigestIsFrozen) {
   // contract — FIFO tie-breaks and id assignment — across refactors.
   auto run = [] {
     Simulator simulator;
-    std::vector<EventId> ids;
+    std::vector<EventHandle> ids;
     for (int round = 0; round < 16; ++round) {
       const Time tick = Microseconds(10 * (round + 1));
       ids.clear();
@@ -121,7 +121,7 @@ TEST(SimulatorTest, SameTickStormDigestIsFrozen) {
 TEST(SimulatorTest, CancelPreventsExecution) {
   Simulator simulator;
   bool fired = false;
-  const EventId id =
+  const EventHandle id =
       simulator.ScheduleAt(Milliseconds(1), [&] { fired = true; });
   EXPECT_TRUE(simulator.Cancel(id));
   simulator.Run();
@@ -131,27 +131,52 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, CancelTwiceReturnsFalse) {
   Simulator simulator;
-  const EventId id = simulator.ScheduleAt(Milliseconds(1), [] {});
+  const EventHandle id = simulator.ScheduleAt(Milliseconds(1), [] {});
   EXPECT_TRUE(simulator.Cancel(id));
   EXPECT_FALSE(simulator.Cancel(id));
+  // The freed slot goes to a newer event with a larger serial: the stale
+  // handle must not cancel it.
+  bool newer_fired = false;
+  const EventHandle newer =
+      simulator.ScheduleAt(Milliseconds(2), [&] { newer_fired = true; });
+  ASSERT_EQ(newer.slot, id.slot);
+  EXPECT_FALSE(simulator.Cancel(id));
+  simulator.Run();
+  EXPECT_TRUE(newer_fired);
 }
 
 TEST(SimulatorTest, CancelAfterFireReturnsFalse) {
   Simulator simulator;
-  const EventId id = simulator.ScheduleAt(Milliseconds(1), [] {});
+  const EventHandle id = simulator.ScheduleAt(Milliseconds(1), [] {});
   simulator.Run();
   EXPECT_FALSE(simulator.Cancel(id));
+  // Same for a fired event whose slot a newer event reused.
+  bool newer_fired = false;
+  const EventHandle newer =
+      simulator.ScheduleAt(Milliseconds(2), [&] { newer_fired = true; });
+  ASSERT_EQ(newer.slot, id.slot);
+  EXPECT_FALSE(simulator.Cancel(id));
+  simulator.Run();
+  EXPECT_TRUE(newer_fired);
 }
 
 TEST(SimulatorTest, CancelUnknownIdReturnsFalse) {
   Simulator simulator;
-  EXPECT_FALSE(simulator.Cancel(12345));
+  EXPECT_FALSE(simulator.Cancel(EventHandle{}));
+  simulator.ScheduleAt(Milliseconds(1), [] {});
+  EXPECT_FALSE(simulator.Cancel(EventHandle{1, 12345}));  // Slot out of range.
+  simulator.Run();
+  // Slot 0 is free now; a default handle must not mistake it for an event.
+  EXPECT_FALSE(simulator.Cancel(EventHandle{}));
+  simulator.ScheduleAt(Milliseconds(2), [] {});
+  EXPECT_EQ(simulator.PendingEvents(), 1u);
+  EXPECT_EQ(simulator.Run(), 1u);
 }
 
 TEST(SimulatorTest, PendingEventsExcludesCancelled) {
   Simulator simulator;
   simulator.ScheduleAt(Milliseconds(1), [] {});
-  const EventId id = simulator.ScheduleAt(Milliseconds(2), [] {});
+  const EventHandle id = simulator.ScheduleAt(Milliseconds(2), [] {});
   EXPECT_EQ(simulator.PendingEvents(), 2u);
   simulator.Cancel(id);
   EXPECT_EQ(simulator.PendingEvents(), 1u);
@@ -175,6 +200,20 @@ TEST(SimulatorTest, RunUntilBoundaryIsInclusive) {
   simulator.ScheduleAt(Milliseconds(10), [&] { fired = true; });
   simulator.RunUntil(Milliseconds(10));
   EXPECT_TRUE(fired);
+}
+
+TEST(SimulatorTest, RunBudgetStopsAtLastExecutedEvent) {
+  Simulator simulator;
+  int count = 0;
+  for (int i = 1; i <= 5; ++i) {
+    simulator.ScheduleAt(Milliseconds(i), [&] { ++count; });
+  }
+  EXPECT_EQ(simulator.Run(3), 3u);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(simulator.Now(), Milliseconds(3));
+  EXPECT_EQ(simulator.PendingEvents(), 2u);
+  EXPECT_EQ(simulator.Run(), 2u);
+  EXPECT_EQ(simulator.Now(), Milliseconds(5));
 }
 
 TEST(SimulatorTest, StepExecutesExactlyOneEvent) {
@@ -204,7 +243,7 @@ TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
 TEST(SimulatorTest, CancellingFromWithinEventWorks) {
   Simulator simulator;
   bool second_fired = false;
-  EventId second = kInvalidEventId;
+  EventHandle second;
   simulator.ScheduleAt(Milliseconds(1),
                        [&] { EXPECT_TRUE(simulator.Cancel(second)); });
   second = simulator.ScheduleAt(Milliseconds(2), [&] { second_fired = true; });
@@ -226,7 +265,7 @@ TEST(SimulatorPropertyTest, MatchesReferenceModelUnderRandomWorkload) {
       bool cancelled = false;
     };
     std::vector<Ref> reference;
-    std::vector<EventId> ids;
+    std::vector<EventHandle> ids;
     std::vector<int> executed;
 
     for (int i = 0; i < 200; ++i) {

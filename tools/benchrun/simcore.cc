@@ -57,7 +57,7 @@ OneRun DriveEvents(std::size_t target_events, int actors) {
       if (fired % 8 == 0) {
         // Schedule-and-cancel: a completion re-rated away, the hottest
         // cancellation pattern in gpu::Gpu.
-        const sim::EventId doomed =
+        const sim::EventHandle doomed =
             simulator.ScheduleAfter(sim::Microseconds(500), [] {});
         simulator.Cancel(doomed);
       }
