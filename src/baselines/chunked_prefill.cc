@@ -30,41 +30,10 @@ ChunkedPrefillEngine::ChunkedPrefillEngine(
 ChunkedPrefillEngine::~ChunkedPrefillEngine() = default;
 
 void ChunkedPrefillEngine::Enqueue(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) {
-    // Shed before any bookkeeping: a rejected request never counts as
-    // in flight and never touches the queues, so the (possibly
-    // reentrant) completion notification sees consistent state.
-    if (ShedNow(waiting_demand_ + DemandTokens(*request),
-                pool_->capacity_tokens())) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
-  }
-  ++in_flight_;
+  if (!AdmitOrShed(request, pool_->capacity_tokens())) return;
   waiting_.push_back(std::move(request));
   PumpAdmissions();
   MaybeStartIteration();
-}
-
-void ChunkedPrefillEngine::OnDeadline(std::int64_t id) {
-  // Only waiting requests are reaped: work that won admission always
-  // runs to completion (abandoning half-computed KV helps nobody).
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*request);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
 }
 
 void ChunkedPrefillEngine::PumpAdmissions() {
@@ -78,7 +47,7 @@ void ChunkedPrefillEngine::PumpAdmissions() {
     if (!serve::AdmitToPool(*pool_, head, sim_->Now())) break;
     head.phase = serve::Phase::kPrefill;
     head.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(head);
+    LeaveQueue(head);
     prefilling_.push_back(std::move(waiting_.front()));
     waiting_.pop_front();
   }
@@ -185,12 +154,8 @@ void ChunkedPrefillEngine::OnIterationDone() {
   for (auto& req : decoding_) {
     req->EmitToken(now);
     if (req->DecodeFinished()) {
-      req->phase = serve::Phase::kDone;
-      req->completion = now;
-      req->outcome = serve::Outcome::kCompleted;
+      Retire(*req, serve::Outcome::kCompleted);
       serve::FinishInPool(*pool_, *req, now);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
       completed.push_back(std::move(req));
     } else {
       still_decoding.push_back(std::move(req));
@@ -214,12 +179,8 @@ void ChunkedPrefillEngine::OnIterationDone() {
     req->EmitToken(now);  // First token.
     if (req->DecodeFinished()) {
       // Degenerate single-token outputs finish at prefill.
-      req->phase = serve::Phase::kDone;
-      req->completion = now;
-      req->outcome = serve::Outcome::kCompleted;
+      Retire(*req, serve::Outcome::kCompleted);
       serve::FinishInPool(*pool_, *req, now);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
       completed.push_back(std::move(req));
     } else {
       req->phase = serve::Phase::kDecode;
@@ -252,30 +213,16 @@ void ChunkedPrefillEngine::InjectCrash(std::size_t domain) {
   for (auto& req : lost) serve::AbandonInPool(*pool_, *req);
   pool_->Clear();
 
-  std::vector<std::unique_ptr<serve::Request>> dead;
-  std::vector<std::unique_ptr<serve::Request>> requeue;
-  for (auto& req : lost) {
-    if (!PrepareRetry(*req)) {
-      MarkTerminal(*req, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(req));
-    } else if (DeadlinePassed(*req)) {
-      // Its deadline event already fired while it was admitted; reap at
-      // requeue instead of waiting forever.
-      MarkTerminal(*req, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(req));
-    } else {
-      waiting_demand_ += DemandTokens(*req);
-      requeue.push_back(std::move(req));
-    }
-  }
   // Requeues go ahead of fresh arrivals — they are the oldest work —
   // preserving their relative admission order.
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(std::move(*it));
+  std::vector<std::unique_ptr<serve::Request>> dead;
+  auto head = waiting_.begin();
+  for (auto& req : lost) {
+    if (RetryAfterCrash(*req)) {
+      head = std::next(waiting_.insert(head, std::move(req)));
+    } else {
+      dead.push_back(std::move(req));
+    }
   }
   for (auto& req : dead) NotifyComplete(std::move(req));
 }
@@ -333,11 +280,10 @@ int ChunkedPrefillEngine::TuneTokenBudget(const serve::Deployment& deployment,
 
 void ChunkedPrefillEngine::RegisterAudits(
     check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "ChunkedPrefillEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(prefilling_.empty(), "prefill queue not drained");
         ctx.Check(decoding_.empty(), "decode batch not drained");
@@ -345,9 +291,6 @@ void ChunkedPrefillEngine::RegisterAudits(
         ctx.Check(nano_outstanding_ == 0,
                   "nano-batches still outstanding");
         ctx.Check(inflight_chunks_.empty(), "chunks of a dead iteration");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
       });
   pool_->RegisterAudits(registry);
   device_->RegisterAudits(registry);

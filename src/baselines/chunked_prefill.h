@@ -60,7 +60,6 @@ class ChunkedPrefillEngine : public fault::FaultAwareEngine {
     return options_.nano_overlap ? "NanoFlow" : "Chunked";
   }
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   void InjectCrash(std::size_t domain) override;
@@ -95,8 +94,10 @@ class ChunkedPrefillEngine : public fault::FaultAwareEngine {
   void MaybeStartIteration();
   void OnIterationDone();
 
-  /** Deadline event: reaps request `id` if it is still waiting. */
-  void OnDeadline(std::int64_t id);
+  /** Deadline hook: only waiting requests are reaped. */
+  std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id) override {
+    return TakeQueued(waiting_, id);
+  }
 
   sim::Simulator* sim_;
   serve::Deployment deployment_;
@@ -116,11 +117,7 @@ class ChunkedPrefillEngine : public fault::FaultAwareEngine {
 
   bool iteration_in_flight_ = false;
   int nano_outstanding_ = 0;
-  std::size_t in_flight_ = 0;
   std::size_t iterations_ = 0;
-
-  /** KV demand (input + output tokens) of everything in waiting_. */
-  std::int64_t waiting_demand_ = 0;
 
   // Chunks included in the in-flight iteration: (request, chunk tokens).
   std::vector<std::pair<serve::Request*, std::int64_t>> inflight_chunks_;

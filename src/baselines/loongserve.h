@@ -58,7 +58,6 @@ class LoongServeEngine : public fault::FaultAwareEngine {
 
   const char* name() const override { return "LoongServe"; }
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   void InjectCrash(std::size_t domain) override;
@@ -79,8 +78,10 @@ class LoongServeEngine : public fault::FaultAwareEngine {
  private:
   void PumpPrefill();
 
-  /** Deadline event: reaps request `id` if it is still waiting. */
-  void OnDeadline(std::int64_t id);
+  /** Deadline hook: only waiting requests are reaped. */
+  std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id) override {
+    return TakeQueued(waiting_, id);
+  }
   void OnPrefillBatchDone();
   void MaybeStartDecodeIteration();
   void OnDecodeIterationDone();
@@ -115,13 +116,9 @@ class LoongServeEngine : public fault::FaultAwareEngine {
   bool decode_in_flight_ = false;
   bool resharding_ = false;
   int decode_gpus_ = 1;
-  std::size_t in_flight_ = 0;
   std::uint64_t prefill_batch_serial_ = 0;
   std::uint64_t decode_step_serial_ = 0;
   std::uint64_t reshard_serial_ = 0;
-
-  /** KV demand (input + output tokens) of everything in waiting_. */
-  std::int64_t waiting_demand_ = 0;
 };
 
 }  // namespace muxwise::baselines

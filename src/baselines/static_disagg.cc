@@ -47,50 +47,40 @@ StaticDisaggEngine::StaticDisaggEngine(sim::Simulator* simulator,
 StaticDisaggEngine::~StaticDisaggEngine() = default;
 
 void StaticDisaggEngine::Enqueue(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) {
-    if (ShedNow(waiting_demand_ + DemandTokens(*request),
-                prefill_pool_->capacity_tokens())) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
-  }
-  ++in_flight_;
+  if (!AdmitOrShed(request, prefill_pool_->capacity_tokens())) return;
   auto job = std::make_unique<Job>();
   job->request = std::move(request);
   waiting_.push_back(std::move(job));
   PumpPrefill();
 }
 
-void StaticDisaggEngine::OnDeadline(std::int64_t id) {
+template <typename Queue>
+std::unique_ptr<StaticDisaggEngine::Job> StaticDisaggEngine::TakeJob(
+    Queue& queue, std::int64_t id) {
+  const auto it = std::find_if(queue.begin(), queue.end(),
+                               [id](const std::unique_ptr<Job>& job) {
+                                 return job->request->spec->id == id;
+                               });
+  if (it == queue.end()) return nullptr;
+  std::unique_ptr<Job> job = std::move(*it);
+  queue.erase(it);
+  return job;
+}
+
+std::unique_ptr<serve::Request> StaticDisaggEngine::TakeUnstarted(
+    std::int64_t id) {
   // Reap from the queues that hold no instance state: waiting_ (never
-  // admitted) and migrating_ (prefill accounting already released,
-  // decode not yet acquired). Work holding KV runs to completion.
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->request->spec->id != id) continue;
-    auto job = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*job->request);
-    MarkTerminal(*job->request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(job->request));
-    return;
+  // admitted) and migrating_ (prefill accounting already released, its
+  // demand already out of the queue; decode not yet acquired). Work
+  // holding KV runs to completion.
+  if (std::unique_ptr<Job> job = TakeJob(waiting_, id)) {
+    LeaveQueue(*job->request);
+    return std::move(job->request);
   }
-  for (auto it = migrating_.begin(); it != migrating_.end(); ++it) {
-    if ((*it)->request->spec->id != id) continue;
-    auto job = std::move(*it);
-    migrating_.erase(it);
-    MarkTerminal(*job->request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(job->request));
-    return;
+  if (std::unique_ptr<Job> job = TakeJob(migrating_, id)) {
+    return std::move(job->request);
   }
+  return nullptr;
 }
 
 void StaticDisaggEngine::PumpPrefill() {
@@ -125,7 +115,7 @@ void StaticDisaggEngine::PumpPrefill() {
     req.prefill_tokens = need;
     req.phase = serve::Phase::kPrefill;
     req.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(req);
+    LeaveQueue(req);
     work.push_back(llm::SeqWork{need, cached});
     batch_tokens += need;
     prefill_batch_.push_back(std::move(waiting_.front()));
@@ -177,11 +167,7 @@ void StaticDisaggEngine::OnPrefillBatchDone() {
 
     if (req.DecodeFinished()) {
       // Single-token output: completes without touching the decode side.
-      req.phase = serve::Phase::kDone;
-      req.completion = now;
-      req.outcome = serve::Outcome::kCompleted;
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
+      Retire(req, serve::Outcome::kCompleted);
       completed.push_back(std::move(job->request));
       continue;
     }
@@ -246,20 +232,16 @@ void StaticDisaggEngine::TryMoveToDecode() {
 }
 
 void StaticDisaggEngine::OnMigrationFailed(std::int64_t id) {
-  for (auto it = decoding_.begin(); it != decoding_.end(); ++it) {
-    if ((*it)->request->spec->id != id) continue;
-    auto job = std::move(*it);
-    decoding_.erase(it);
-    decode_pool_->ReleaseReserved(job->d_reserved);
-    job->d_reserved = 0;
-    decode_pool_->ReleasePrefix(job->d_lease);
-    job->d_lease = {};
-    job->d_cached = 0;
-    std::vector<std::unique_ptr<Job>> lost;
-    lost.push_back(std::move(job));
-    RecycleLost(std::move(lost));
-    return;
-  }
+  std::unique_ptr<Job> job = TakeJob(decoding_, id);
+  if (job == nullptr) return;
+  decode_pool_->ReleaseReserved(job->d_reserved);
+  job->d_reserved = 0;
+  decode_pool_->ReleasePrefix(job->d_lease);
+  job->d_lease = {};
+  job->d_cached = 0;
+  std::vector<std::unique_ptr<Job>> lost;
+  lost.push_back(std::move(job));
+  RecycleLost(std::move(lost));
 }
 
 void StaticDisaggEngine::MaybeStartDecodeIteration() {
@@ -328,9 +310,7 @@ void StaticDisaggEngine::OnDecodeIterationDone() {
 void StaticDisaggEngine::Finish(Job* job) {
   const sim::Time now = sim_->Now();
   serve::Request& req = *job->request;
-  req.phase = serve::Phase::kDone;
-  req.completion = now;
-  req.outcome = serve::Outcome::kCompleted;
+  Retire(req, serve::Outcome::kCompleted);
   decode_pool_->ReleaseReserved(job->d_reserved);
   job->d_reserved = 0;
   decode_pool_->CommitSequence(req.spec->full_seq, now);
@@ -348,9 +328,6 @@ void StaticDisaggEngine::Finish(Job* job) {
         if (pe != p_epoch_) return;
         prefill_pool_->CommitSequence(full, sim_->Now());
       });
-
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
 }
 
 void StaticDisaggEngine::RecycleLost(
@@ -358,27 +335,13 @@ void StaticDisaggEngine::RecycleLost(
   // Jobs arrive with their pool accounting already released; decide
   // retry vs. terminal, push retries back in age order, then notify.
   std::vector<std::unique_ptr<serve::Request>> dead;
-  std::vector<std::unique_ptr<Job>> requeue;
+  auto head = waiting_.begin();
   for (auto& job : lost) {
-    serve::Request& req = *job->request;
-    if (!PrepareRetry(req)) {
-      MarkTerminal(req, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(job->request));
-    } else if (DeadlinePassed(req)) {
-      // Its deadline event fired while it was admitted; reap it now.
-      MarkTerminal(req, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      dead.push_back(std::move(job->request));
+    if (RetryAfterCrash(*job->request)) {
+      head = std::next(waiting_.insert(head, std::move(job)));
     } else {
-      waiting_demand_ += DemandTokens(req);
-      requeue.push_back(std::move(job));
+      dead.push_back(std::move(job->request));
     }
-  }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(std::move(*it));
   }
   for (auto& req : dead) NotifyComplete(std::move(req));
   PumpPrefill();
@@ -477,20 +440,16 @@ void StaticDisaggEngine::AttachTracer(obs::Tracer tracer) {
 
 void StaticDisaggEngine::RegisterAudits(
     check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "StaticDisaggEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(migrating_.empty(), "jobs stuck migrating P -> D");
         ctx.Check(decoding_.empty(), "decode batch not drained");
         ctx.Check(prefill_batch_.empty(), "prefill batch not drained");
         ctx.Check(!prefill_in_flight_ && !decode_in_flight_,
                   "phase iteration still outstanding");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
       });
   prefill_pool_->RegisterAudits(registry);
   decode_pool_->RegisterAudits(registry);

@@ -63,7 +63,6 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
 
   const char* name() const override { return "SGLang-PD"; }
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   std::size_t NumFaultDomains() const override { return 2; }
@@ -94,8 +93,12 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
   void OnDecodeIterationDone();
   void Finish(Job* job);
 
-  /** Deadline event: reaps `id` from waiting_ or migrating_. */
-  void OnDeadline(std::int64_t id);
+  /** Deadline hook: reaps `id` from waiting_ or migrating_. */
+  std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id) override;
+
+  /** Detaches the job of request `id` from `queue`, or returns nullptr. */
+  template <typename Queue>
+  static std::unique_ptr<Job> TakeJob(Queue& queue, std::int64_t id);
 
   /** The link gave up on `id`'s P->D migration; requeue or fail it. */
   void OnMigrationFailed(std::int64_t id);
@@ -123,12 +126,8 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
 
   bool prefill_in_flight_ = false;
   bool decode_in_flight_ = false;
-  std::size_t in_flight_ = 0;
   std::uint64_t prefill_batch_serial_ = 0;
   std::uint64_t decode_step_serial_ = 0;
-
-  /** KV demand (input + output tokens) of everything in waiting_. */
-  std::int64_t waiting_demand_ = 0;
 
   // Per-instance crash epochs (see FaultAwareEngine's epoch pattern;
   // two instances fail independently, so one shared epoch would let a

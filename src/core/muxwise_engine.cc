@@ -53,19 +53,7 @@ void MuxWiseEngine::Enqueue(std::unique_ptr<serve::Request> request) {
     EnqueueOverload(std::move(request));
     return;
   }
-  if (FaultsEnabled()) {
-    if (ShedNow(waiting_demand_ + DemandTokens(*request),
-                pool_->capacity_tokens())) {
-      MarkTerminal(*request, serve::Outcome::kShed);
-      NotifyComplete(std::move(request));
-      return;
-    }
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-    waiting_demand_ += DemandTokens(*request);
-  }
-  ++in_flight_;
+  if (!AdmitOrShed(request, pool_->capacity_tokens())) return;
   request->phase = serve::Phase::kQueued;
   const serve::Request& incoming = *request;
   waiting_.push_back(  // muxlint: allow(unbounded-queue) — legacy path;
@@ -82,19 +70,13 @@ void MuxWiseEngine::EnqueueOverload(std::unique_ptr<serve::Request> request) {
       ctl_->Admit(slo_class, DemandTokens(*request), sim_->Now(),
                   QueuedInClass(slo_class));
   if (decision.action == overload::AdmissionDecision::Action::kShed) {
-    MarkTerminal(*request, serve::Outcome::kShed);
-    NotifyComplete(std::move(request));
+    Shed(std::move(request));
     return;
   }
-  ++in_flight_;
+  // The class controller replaces the blunt demand cutoff, but the
+  // SLO-derived deadline still reaps stale queued and gated work.
+  Admit(*request);
   request->phase = serve::Phase::kQueued;
-  if (FaultsEnabled()) {
-    // The class controller replaces the blunt demand cutoff, but the
-    // SLO-derived deadline still reaps stale queued work.
-    request->deadline = DeadlineFor(*request);
-    sim_->ScheduleAt(request->deadline,
-                     [this, id = request->spec->id] { OnDeadline(id); });
-  }
   if (decision.action == overload::AdmissionDecision::Action::kDelay) {
     tracer_.Instant("engine/overload", "admission-delayed",
                     request->spec->id,
@@ -113,7 +95,6 @@ void MuxWiseEngine::EnqueueOverload(std::unique_ptr<serve::Request> request) {
 }
 
 void MuxWiseEngine::AdmitToWaiting(std::unique_ptr<serve::Request> request) {
-  if (FaultsEnabled()) waiting_demand_ += DemandTokens(*request);
   const serve::Request& incoming = *request;
   waiting_.push_back(  // muxlint: allow(unbounded-queue) — bounded by the
                        // controller's per-class hard cap (bounded-queues
@@ -125,11 +106,8 @@ void MuxWiseEngine::AdmitToWaiting(std::unique_ptr<serve::Request> request) {
 }
 
 void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
-  auto it = gated_.begin();
-  while (it != gated_.end() && (*it)->spec->id != id) ++it;
-  if (it == gated_.end()) return;  // Reaped by its deadline.
-  auto request = std::move(*it);
-  gated_.erase(it);
+  std::unique_ptr<serve::Request> request = TakeById(gated_, id);
+  if (request == nullptr) return;  // Reaped by its deadline.
 
   ObserveOverload();
   const workload::SloClass slo_class = request->spec->slo_class;
@@ -142,9 +120,8 @@ void MuxWiseEngine::OnAdmissionRetry(std::int64_t id) {
   if (decision.action == overload::AdmissionDecision::Action::kShed ||
       (decision.action == overload::AdmissionDecision::Action::kDelay &&
        overdue)) {
-    MarkTerminal(*request, serve::Outcome::kShed);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
+    LeaveQueue(*request);
+    Retire(*request, serve::Outcome::kShed);
     NotifyComplete(std::move(request));
     return;
   }
@@ -192,30 +169,11 @@ std::size_t MuxWiseEngine::QueuedInClass(
   return count;
 }
 
-void MuxWiseEngine::OnDeadline(std::int64_t id) {
-  // Only waiting requests are reaped; admitted work runs to completion.
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    waiting_.erase(it);
-    waiting_demand_ -= DemandTokens(*request);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
+std::unique_ptr<serve::Request> MuxWiseEngine::TakeUnstarted(
+    std::int64_t id) {
   // Admission-gated requests (overload control) are equally unstarted.
-  for (auto it = gated_.begin(); it != gated_.end(); ++it) {
-    if ((*it)->spec->id != id) continue;
-    auto request = std::move(*it);
-    gated_.erase(it);
-    MarkTerminal(*request, serve::Outcome::kTimedOut);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    NotifyComplete(std::move(request));
-    return;
-  }
+  if (auto request = TakeQueued(waiting_, id)) return request;
+  return TakeQueued(gated_, id);
 }
 
 void MuxWiseEngine::PumpScheduler() {
@@ -349,7 +307,7 @@ void MuxWiseEngine::TryStartPrefillBatch() {
     }
     head.phase = serve::Phase::kPrefill;
     head.prefill_start = sim_->Now();
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(head);
+    LeaveQueue(head);
     job->work.push_back(
         llm::SeqWork{head.prefill_tokens, head.cached_tokens});
     job->new_tokens += head.prefill_tokens;
@@ -618,16 +576,12 @@ void MuxWiseEngine::OnDecodeIterationDone(sim::Time launch_time,
 }
 
 void MuxWiseEngine::FinishRequest(std::unique_ptr<serve::Request> request) {
-  request->phase = serve::Phase::kDone;
-  request->completion = sim_->Now();
-  request->outcome = serve::Outcome::kCompleted;
+  Retire(*request, serve::Outcome::kCompleted);
   serve::FinishInPool(*pool_, *request, sim_->Now());
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
   pending_completions_.push_back(  // muxlint: allow(unbounded-queue) —
                                    // drained by FlushCompletions before
                                    // the event returns (bounded by
-                                   // in_flight_).
+                                   // InFlight()).
       std::move(request));
 }
 
@@ -680,35 +634,16 @@ void MuxWiseEngine::InjectCrash(std::size_t domain) {
   for (auto& request : lost) serve::AbandonInPool(*pool_, *request);
   pool_->Clear();
 
-  std::vector<std::unique_ptr<serve::Request>> requeue;
+  auto head = waiting_.begin();
   for (auto& request : lost) {
-    if (!PrepareRetry(*request)) {
-      MarkTerminal(*request, serve::Outcome::kFailed);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
-                                       // — drained by FlushCompletions
-                                       // below (bounded by in_flight_).
-          std::move(request));
-    } else if (DeadlinePassed(*request)) {
-      // Its deadline event fired while it was admitted; reap it now.
-      MarkTerminal(*request, serve::Outcome::kTimedOut);
-      MUX_CHECK(in_flight_ > 0);
-      --in_flight_;
-      pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
-                                       // — drained by FlushCompletions
-                                       // below (bounded by in_flight_).
-          std::move(request));
+    if (RetryAfterCrash(*request)) {
+      head = std::next(waiting_.insert(head, std::move(request)));
     } else {
-      waiting_demand_ += DemandTokens(*request);
-      requeue.push_back(std::move(request));
+      pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
+                                       // — drained by FlushCompletions
+                                       // below (bounded by InFlight()).
+          std::move(request));
     }
-  }
-  for (auto it = requeue.rbegin(); it != requeue.rend(); ++it) {
-    waiting_.push_front(  // muxlint: allow(unbounded-queue) — crash
-                          // recovery re-queues already-admitted work
-                          // (net queue growth is zero).
-        std::move(*it));
   }
   FlushCompletions();
 }
@@ -717,23 +652,17 @@ std::vector<std::unique_ptr<serve::Request>>
 MuxWiseEngine::ExtractForRehoming() {
   std::vector<std::unique_ptr<serve::Request>> extracted;
   extracted.reserve(waiting_.size() + gated_.size());
-  for (auto& request : waiting_) {
-    if (FaultsEnabled()) waiting_demand_ -= DemandTokens(*request);
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    request->phase = serve::Phase::kQueued;
-    extracted.push_back(std::move(request));
-  }
-  waiting_.clear();
-  // Gated arrivals never entered waiting_demand_ (the class controller
-  // bounds them instead), so only the in-flight count is returned.
-  for (auto& request : gated_) {
-    MUX_CHECK(in_flight_ > 0);
-    --in_flight_;
-    request->phase = serve::Phase::kQueued;
-    extracted.push_back(std::move(request));
-  }
-  gated_.clear();
+  auto extract = [this, &extracted](auto& queue) {
+    for (auto& request : queue) {
+      LeaveQueue(*request);
+      HandOff();
+      request->phase = serve::Phase::kQueued;
+      extracted.push_back(std::move(request));
+    }
+    queue.clear();
+  };
+  extract(waiting_);
+  extract(gated_);
   return extracted;
 }
 
@@ -914,7 +843,7 @@ bool MuxWiseEngine::TryPreemptForKv(const serve::Request& head) {
     victim->progress = 0;
     ++kv_recomputes_;
     tracer_.Instant("engine/overload", "kv-recompute", id, fraction);
-    if (FaultsEnabled()) waiting_demand_ += DemandTokens(*victim);
+    EnterQueue(*victim);
     waiting_.push_back(  // muxlint: allow(unbounded-queue) — re-queues
                          // an already-admitted request (net queue
                          // growth is zero).
@@ -1022,11 +951,10 @@ void MuxWiseEngine::MaybePreemptFor(const serve::Request& incoming) {
 }
 
 void MuxWiseEngine::RegisterAudits(check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "MuxWiseEngine", "quiescent-scheduler",
       [this](check::AuditContext& ctx) {
-        ctx.Check(in_flight_ == 0, std::to_string(in_flight_) +
-                                       " requests still in flight");
         ctx.Check(waiting_.empty(), "waiting queue not drained");
         ctx.Check(active_ == nullptr, "prefill batch still active");
         ctx.Check(preempted_ == nullptr, "preempted batch never resumed");
@@ -1035,9 +963,6 @@ void MuxWiseEngine::RegisterAudits(check::InvariantRegistry& registry) const {
         ctx.Check(pending_completions_.empty(),
                   "completions never handed back");
         ctx.Check(!decode_in_flight_, "decode iteration still outstanding");
-        ctx.Check(waiting_demand_ == 0,
-                  "queued-demand accounting leaked " +
-                      std::to_string(waiting_demand_) + " tokens");
         ctx.Check(gated_.empty(), "admission-gated requests leaked");
         ctx.Check(spilled_.empty(), "spilled requests never restored");
         ctx.Check(restored_.empty(), "restored jobs never resumed");

@@ -156,11 +156,10 @@ void FleetRouter::Enqueue(std::unique_ptr<serve::Request> request) {
     ++stats_.fleet_shed;
     tracer_.Instant("route", "fleet-shed", request->spec->id,
                     static_cast<double>(static_cast<int>(mode_)));
-    MarkTerminal(*request, serve::Outcome::kShed);
-    NotifyComplete(std::move(request));
+    Shed(std::move(request));
     return;
   }
-  ++in_flight_;
+  Accept();
   Dispatch(std::move(request), *target);
 }
 
@@ -170,17 +169,14 @@ void FleetRouter::OnReplicaComplete(std::size_t r,
   const std::int64_t demand = DemandTokens(*request);
   MUX_CHECK(replica.pending_demand >= demand);
   replica.pending_demand -= demand;
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
+  HandOff();  // The replica retired it.
   // May synchronously re-enter Enqueue with the session's next turn.
   NotifyComplete(std::move(request));
 }
 
 void FleetRouter::Terminal(std::unique_ptr<serve::Request> request,
                            serve::Outcome outcome) {
-  MarkTerminal(*request, outcome);
-  MUX_CHECK(in_flight_ > 0);
-  --in_flight_;
+  Retire(*request, outcome);
   NotifyComplete(std::move(request));
 }
 
@@ -201,7 +197,7 @@ bool FleetRouter::HeartbeatNeeded() const {
       return true;
     }
   }
-  return options_.autoscale && in_flight_ > 0;
+  return options_.autoscale && InFlight() > 0;
 }
 
 void FleetRouter::EnsureHeartbeat() {
@@ -361,6 +357,7 @@ void FleetRouter::FinishRehome(std::int64_t id, bool migrated) {
     replicas_[entry.target].engine->WarmCachePrefix(kv::SeqPrefix(
         entry.request->spec->prompt, entry.request->spec->reused_tokens));
   }
+  CountRequeue();
   Dispatch(std::move(entry.request), entry.target);
 }
 
@@ -521,11 +518,9 @@ void FleetRouter::InjectPartition(std::size_t domain, bool drop_to,
 }
 
 void FleetRouter::RegisterAudits(check::InvariantRegistry& registry) const {
+  fault::FaultAwareEngine::RegisterAudits(registry);
   registry.Register(
       "FleetRouter", "quiescent-router", [this](check::AuditContext& audit) {
-        audit.Check(in_flight_ == 0,
-                    "router in-flight should drain to zero, have " +
-                        std::to_string(in_flight_));
         audit.Check(rehoming_.empty(),
                     "no orphan should still be re-homing at quiescence");
         audit.Check(!heartbeat_scheduled_,

@@ -144,7 +144,6 @@ class FleetRouter : public fault::FaultAwareEngine {
 
   const char* name() const override { return "FleetRouter"; }
   void Enqueue(std::unique_ptr<serve::Request> request) override;
-  std::size_t InFlight() const override { return in_flight_; }
   void RegisterAudits(check::InvariantRegistry& registry) const override;
 
   std::size_t NumFaultDomains() const override { return replicas_.size(); }
@@ -240,7 +239,6 @@ class FleetRouter : public fault::FaultAwareEngine {
   std::unique_ptr<overload::Controller> costing_;
 
   std::vector<RehomeEntry> rehoming_;
-  std::size_t in_flight_ = 0;
   bool heartbeat_scheduled_ = false;
 
   /**

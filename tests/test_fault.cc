@@ -433,6 +433,39 @@ TEST(ChunkedRecoveryTest, CrashAndRecoverRetriesLostWork) {
   EXPECT_GT(split.attained, 0u);
 }
 
+TEST(ChunkedRecoveryTest, CrashAfterDeadlineTimesOutWithoutRequeue) {
+  // One request wins admission at once, so its deadline event passes it
+  // over (admitted work runs to completion); the crash then finds it
+  // past its deadline. Crash triage reaps it as kTimedOut, and a reaped
+  // request is not a requeue.
+  sim::Simulator simulator;
+  const serve::Deployment d = Llama70bA100();
+  baselines::ChunkedPrefillEngine::Options options;
+  options.token_budget = 256;
+  options.recovery.enabled = true;
+  options.recovery.ttft_deadline_factor = 0.001;
+  options.recovery.tpot_deadline_factor = 0.0;
+  baselines::ChunkedPrefillEngine engine(&simulator, d, options);
+
+  const workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 1, 1.0, 48);
+  ASSERT_EQ(trace.requests.size(), 1u);
+  ASSERT_GT(trace.requests[0].output_tokens, 8);  // Still decoding below.
+  const sim::Time arrival = sim::Seconds(trace.requests[0].arrival_seconds);
+  FaultPlan plan;
+  plan.Crash(0, arrival + sim::Milliseconds(100),
+             arrival + sim::Milliseconds(200));
+  FaultInjector injector(&simulator, plan, options.recovery);
+  injector.Arm(engine);
+
+  const auto result = testutil::RunTrace(simulator, engine, trace);
+  EXPECT_TRUE(result.all_completed);
+  EXPECT_EQ(injector.crashes_injected(), 1u);
+  EXPECT_EQ(engine.crash_requeues(), 0u);
+  EXPECT_EQ(engine.timed_out_requests(), 1u);
+  EXPECT_EQ(result.metrics.Split().timed_out, 1u);
+}
+
 TEST(ChunkedRecoveryTest, OutageBacklogShedsNewWork) {
   // During a permanent outage nothing admits, so queued KV demand
   // accumulates; once it crosses the shed threshold new arrivals are

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine_test_util.h"
 #include "fault/fault_plan.h"
+#include "fault/injector.h"
 #include "gpu/gpu_spec.h"
 #include "harness/runner.h"
 #include "llm/model_config.h"
@@ -249,6 +251,30 @@ TEST_F(FleetRouterTest, ReplicaCrashFailsOverAndRehomesOrphans) {
   // the crash signal.
   EXPECT_NEAR(outcome.fleet.failover_latency.mean_ms, 1000.0, 1e-6);
   EXPECT_GT(outcome.split.attained, 0u);
+}
+
+TEST_F(FleetRouterTest, RehomeWithoutSurvivorShedsWithoutCountingRequeues) {
+  // A one-replica fleet whose replica never recovers: failover finds no
+  // survivor for its orphans, so each is shed — and a shed orphan was
+  // never re-dispatched, so it is not a crash requeue.
+  sim::Simulator simulator;
+  core::MuxWiseEngine::Options engine_options;
+  engine_options.recovery.enabled = true;
+  FleetOptions options;
+  options.enabled = true;
+  FleetRouter router(&simulator, Llama70bA100(), *estimator_, engine_options,
+                     options);
+  fault::FaultPlan plan;
+  plan.Crash(0, sim::Seconds(2));
+  fault::FaultInjector injector(&simulator, plan, engine_options.recovery);
+  injector.Arm(router);
+
+  workload::Trace trace = *trace_;
+  workload::ResampleArrivalsPoisson(trace, 40.0, 48);  // Queue a backlog.
+  const auto result = testutil::RunTrace(simulator, router, trace);
+  EXPECT_TRUE(result.all_completed);
+  EXPECT_GT(router.Stats().rehome_shed, 0u);
+  EXPECT_EQ(router.crash_requeues(), 0u);
 }
 
 TEST_F(FleetRouterTest, RehomedSessionsMigrateDurableKvWhenWireIsCheaper) {
