@@ -54,30 +54,17 @@ void StaticDisaggEngine::Enqueue(std::unique_ptr<serve::Request> request) {
   PumpPrefill();
 }
 
-template <typename Queue>
-std::unique_ptr<StaticDisaggEngine::Job> StaticDisaggEngine::TakeJob(
-    Queue& queue, std::int64_t id) {
-  const auto it = std::find_if(queue.begin(), queue.end(),
-                               [id](const std::unique_ptr<Job>& job) {
-                                 return job->request->spec->id == id;
-                               });
-  if (it == queue.end()) return nullptr;
-  std::unique_ptr<Job> job = std::move(*it);
-  queue.erase(it);
-  return job;
-}
-
 std::unique_ptr<serve::Request> StaticDisaggEngine::TakeUnstarted(
     std::int64_t id) {
   // Reap from the queues that hold no instance state: waiting_ (never
   // admitted) and migrating_ (prefill accounting already released, its
   // demand already out of the queue; decode not yet acquired). Work
   // holding KV runs to completion.
-  if (std::unique_ptr<Job> job = TakeJob(waiting_, id)) {
+  if (std::unique_ptr<Job> job = TakeById(waiting_, id)) {
     LeaveQueue(*job->request);
     return std::move(job->request);
   }
-  if (std::unique_ptr<Job> job = TakeJob(migrating_, id)) {
+  if (std::unique_ptr<Job> job = TakeById(migrating_, id)) {
     return std::move(job->request);
   }
   return nullptr;
@@ -232,7 +219,7 @@ void StaticDisaggEngine::TryMoveToDecode() {
 }
 
 void StaticDisaggEngine::OnMigrationFailed(std::int64_t id) {
-  std::unique_ptr<Job> job = TakeJob(decoding_, id);
+  std::unique_ptr<Job> job = TakeById(decoding_, id);
   if (job == nullptr) return;
   decode_pool_->ReleaseReserved(job->d_reserved);
   job->d_reserved = 0;

@@ -96,10 +96,6 @@ class StaticDisaggEngine : public fault::FaultAwareEngine {
   /** Deadline hook: reaps `id` from waiting_ or migrating_. */
   std::unique_ptr<serve::Request> TakeUnstarted(std::int64_t id) override;
 
-  /** Detaches the job of request `id` from `queue`, or returns nullptr. */
-  template <typename Queue>
-  static std::unique_ptr<Job> TakeJob(Queue& queue, std::int64_t id);
-
   /** The link gave up on `id`'s P->D migration; requeue or fail it. */
   void OnMigrationFailed(std::int64_t id);
 

@@ -225,18 +225,21 @@ class FaultAwareEngine : public serve::Engine {
     return nullptr;
   }
 
-  /** Detaches request `id` from `queue`, or returns nullptr. */
+  /**
+   * Detaches the entry of `queue` for request `id` — a queue of request
+   * pointers, or of pointers to wrappers holding one as `request` — or
+   * returns nullptr.
+   */
   template <typename Queue>
-  static std::unique_ptr<serve::Request> TakeById(Queue& queue,
-                                                  std::int64_t id) {
+  static typename Queue::value_type TakeById(Queue& queue, std::int64_t id) {
     const auto it =
-        std::find_if(queue.begin(), queue.end(), [id](const auto& request) {
-          return request->spec->id == id;
+        std::find_if(queue.begin(), queue.end(), [id](const auto& entry) {
+          return RequestOf(*entry).spec->id == id;
         });
     if (it == queue.end()) return nullptr;
-    std::unique_ptr<serve::Request> request = std::move(*it);
+    typename Queue::value_type entry = std::move(*it);
     queue.erase(it);
-    return request;
+    return entry;
   }
 
   /** TakeById from a queue whose requests' demand counts as queued. */
@@ -258,6 +261,14 @@ class FaultAwareEngine : public serve::Engine {
     return recovery_.enabled &&
            static_cast<double>(queued_demand) >
                recovery_.shed_demand_factor * static_cast<double>(capacity);
+  }
+
+  static const serve::Request& RequestOf(const serve::Request& request) {
+    return request;
+  }
+  template <typename Wrapper>
+  static const serve::Request& RequestOf(const Wrapper& wrapper) {
+    return *wrapper.request;
   }
 
   void Reap(std::int64_t id) {
