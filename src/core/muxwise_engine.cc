@@ -634,10 +634,15 @@ void MuxWiseEngine::InjectCrash(std::size_t domain) {
   for (auto& request : lost) serve::AbandonInPool(*pool_, *request);
   pool_->Clear();
 
+  // Requeues go ahead of fresh arrivals, in their admission order.
   auto head = waiting_.begin();
   for (auto& request : lost) {
     if (RetryAfterCrash(*request)) {
-      head = std::next(waiting_.insert(head, std::move(request)));
+      head = std::next(waiting_.insert(  // muxlint: allow(unbounded-queue)
+                                         // — crash recovery re-queues
+                                         // already-admitted work (net
+                                         // queue growth is zero).
+          head, std::move(request)));
     } else {
       pending_completions_.push_back(  // muxlint: allow(unbounded-queue)
                                        // — drained by FlushCompletions

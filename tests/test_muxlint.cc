@@ -313,6 +313,9 @@ TEST(MuxlintTest, FlagsQueuePushesInServingLayers) {
   EXPECT_TRUE(HasRule(
       Lint("src/core/foo.cc", "waiting_.push_front(std::move(r));\n"),
       "unbounded-queue"));
+  EXPECT_TRUE(HasRule(
+      Lint("src/core/foo.cc", "head = waiting_.insert(head, std::move(r));\n"),
+      "unbounded-queue"));
 }
 
 TEST(MuxlintTest, UnboundedQueueScopedToServingLayers) {

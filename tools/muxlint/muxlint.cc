@@ -103,7 +103,7 @@ const std::vector<LineRule>& LineRules() {
        "bounded — justify with an allow() if boundedness is enforced "
        "elsewhere",
        std::regex(
-           R"(\b[a-z]*(waiting|queue|pending|held|gated|backlog)[a-z_]*_(\s*\[[^\]]*\])?\s*\.\s*(push_back|push_front|emplace_back|emplace_front)\s*\()"),
+           R"(\b[a-z]*(waiting|queue|pending|held|gated|backlog)[a-z_]*_(\s*\[[^\]]*\])?\s*\.\s*(push_back|push_front|emplace_back|emplace_front|emplace|insert)\s*\()"),
        "",
        {"src/serve", "src/core"}},
       // The metrics layer (ISSUE 9) replaced full-sample percentile
