@@ -1,6 +1,7 @@
 #include "baselines/chunked_prefill.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "serve/admission.h"

@@ -1,6 +1,7 @@
 #include "baselines/loongserve.h"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <utility>
 

@@ -1,6 +1,7 @@
 #include "baselines/static_disagg.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "sim/logging.h"

@@ -1,6 +1,7 @@
 #include "core/muxwise_engine.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "serve/admission.h"
