@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gpu/gpu_spec.h"
 #include "llm/model_config.h"
 #include "serve/deployment.h"
@@ -144,6 +146,42 @@ TEST(DeterminismVerifierTest, DetectsPerturbedScenario) {
       RunWorkload(EngineKind::kChunked, deployment, perturbed, &estimator);
   EXPECT_NE(a.event_digest, b.event_digest);
   EXPECT_NE(OutcomeDigest(a), OutcomeDigest(b));
+}
+
+TEST(DeterminismVerifierTest, OutOfOrderTraceDigestsAreFrozen) {
+  // Generated traces are sorted by arrival, so only hand-built ones
+  // reach the frontend's ordering of unsorted arrivals. The perturbed
+  // trace above stays sorted (its 1 ms nudge passes no neighbour); the
+  // same trace with its earliest request moved to the back does not.
+  // Both digests were recorded while the frontend still scheduled every
+  // arrival up front.
+  const serve::Deployment deployment = Llama70bA100();
+  const core::ContentionEstimator estimator =
+      core::ContentionEstimator::BuildOffline(deployment);
+  const workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 20, 2.0, 902);
+
+  workload::Trace perturbed = trace;
+  perturbed.requests[10].arrival_seconds += 0.001;
+  workload::Trace rotated = trace;
+  std::rotate(rotated.requests.begin(), rotated.requests.begin() + 1,
+              rotated.requests.end());
+  const auto by_arrival = [](const workload::RequestSpec& a,
+                             const workload::RequestSpec& b) {
+    return a.arrival_seconds < b.arrival_seconds;
+  };
+  ASSERT_FALSE(std::is_sorted(rotated.requests.begin(),
+                              rotated.requests.end(), by_arrival));
+
+  const RunOutcome a =
+      RunWorkload(EngineKind::kChunked, deployment, perturbed, &estimator);
+  EXPECT_EQ(a.event_digest, 0x1c736bb10934b103ull);
+  EXPECT_EQ(OutcomeDigest(a), 0xe78fdd283960f2cfull);
+  const RunOutcome b =
+      RunWorkload(EngineKind::kMuxWise, deployment, rotated, &estimator);
+  EXPECT_TRUE(b.stable);
+  EXPECT_EQ(b.event_digest, 0xcbea526b6725cc07ull);
+  EXPECT_EQ(OutcomeDigest(b), 0xc7919f9aeb10b585ull);
 }
 
 }  // namespace
