@@ -1,6 +1,7 @@
 #include "serve/frontend.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "sim/logging.h"
@@ -12,9 +13,6 @@ Frontend::Frontend(sim::Simulator* simulator, Engine* engine,
     : sim_(simulator), engine_(engine), trace_(trace), metrics_(metrics) {
   MUX_CHECK(sim_ != nullptr && engine_ != nullptr && trace_ != nullptr);
   states_.assign(trace_->requests.size(), State::kPending);
-  for (std::size_t i = 0; i < trace_->requests.size(); ++i) {
-    index_by_id_[trace_->requests[i].id] = i;
-  }
   engine_->set_on_complete(
       [this](std::unique_ptr<Request> request) {
         OnComplete(std::move(request));
@@ -22,12 +20,36 @@ Frontend::Frontend(sim::Simulator* simulator, Engine* engine,
 }
 
 void Frontend::Start() {
-  for (std::size_t i = 0; i < trace_->requests.size(); ++i) {
-    const sim::Time when =
-        sim::Seconds(trace_->requests[i].arrival_seconds);
-    sim_->ScheduleAt(std::max(sim_->Now(), when),
-                     [this, i] { OnArrival(i); });
-  }
+  const std::size_t n = trace_->requests.size();
+  if (n == 0) return;
+  MUX_CHECK(arrival_order_.empty());  // Start() runs once.
+  start_ = sim_->Now();
+  first_arrival_id_ = sim_->ReserveIds(n);
+  arrival_order_.resize(n);
+  std::iota(arrival_order_.begin(), arrival_order_.end(), std::size_t{0});
+  // Equal arrival times keep index order, as their serials do.
+  std::sort(arrival_order_.begin(), arrival_order_.end(),
+            [this](std::size_t a, std::size_t b) {
+              const sim::Time ta = ArrivalTime(a);
+              const sim::Time tb = ArrivalTime(b);
+              return ta != tb ? ta < tb : a < b;
+            });
+  ScheduleNextArrival();
+}
+
+sim::Time Frontend::ArrivalTime(std::size_t index) const {
+  return std::max(start_,
+                  sim::Seconds(trace_->requests[index].arrival_seconds));
+}
+
+void Frontend::ScheduleNextArrival() {
+  if (next_arrival_ == arrival_order_.size()) return;
+  const std::size_t index = arrival_order_[next_arrival_++];
+  sim_->ScheduleReserved(ArrivalTime(index), first_arrival_id_ + index,
+                         [this, index] {
+                           ScheduleNextArrival();
+                           OnArrival(index);
+                         });
 }
 
 bool Frontend::PredecessorDone(const workload::RequestSpec& spec) const {
@@ -40,6 +62,7 @@ bool Frontend::PredecessorDone(const workload::RequestSpec& spec) const {
 void Frontend::OnArrival(std::size_t index) {
   MUX_CHECK(states_[index] == State::kPending);
   states_[index] = State::kArrived;
+  ++arrived_;
   const workload::RequestSpec& spec = trace_->requests[index];
   if (PredecessorDone(spec)) {
     Dispatch(index);
@@ -61,10 +84,10 @@ void Frontend::Dispatch(std::size_t index) {
 }
 
 void Frontend::OnComplete(std::unique_ptr<Request> request) {
-  const std::int64_t id = request->spec->id;
-  auto it = index_by_id_.find(id);
-  MUX_CHECK(it != index_by_id_.end());
-  const std::size_t index = it->second;
+  const workload::RequestSpec* const first = trace_->requests.data();
+  MUX_CHECK(request->spec >= first &&
+            request->spec < first + trace_->requests.size());
+  const auto index = static_cast<std::size_t>(request->spec - first);
   MUX_CHECK(states_[index] == State::kDispatched);
   states_[index] = State::kCompleted;
   ++completed_;

@@ -2,8 +2,8 @@
 #define MUXWISE_SERVE_FRONTEND_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/engine.h"
@@ -15,6 +15,12 @@ namespace muxwise::serve {
 
 /**
  * Replays a workload trace into an engine.
+ *
+ * Arrivals are released one at a time: only the next arrival is ever
+ * pending on the simulator, and each arrival schedules its successor.
+ * Every arrival runs under an event serial reserved in trace-index order
+ * at Start(), so the run orders, and digests, exactly as if every
+ * arrival had been scheduled up front.
  *
  * Clients in multi-turn workloads cannot send turn k+1 before reading
  * the response to turn k, so the frontend holds a session's next request
@@ -30,9 +36,16 @@ class Frontend {
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
 
-  /** Schedules every arrival; call once before Simulator::Run(). */
+  /**
+   * Reserves one event serial per request and schedules the first
+   * arrival; call once before Simulator::Run(). Arrivals fire in
+   * (arrival time, trace index) order, arrival times before Now()
+   * clamped to Now(), so the trace need not be sorted.
+   */
   void Start();
 
+  /** Requests whose arrival event has fired. */
+  std::size_t arrived() const { return arrived_; }
   std::size_t dispatched() const { return dispatched_; }
   std::size_t completed() const { return completed_; }
   bool AllCompleted() const {
@@ -43,6 +56,10 @@ class Frontend {
   sim::Time last_completion() const { return last_completion_; }
 
  private:
+  /** Arrival time of trace request `index`, clamped to Start()'s Now(). */
+  sim::Time ArrivalTime(std::size_t index) const;
+  /** Schedules the next arrival in `arrival_order_`, if any remain. */
+  void ScheduleNextArrival();
   void OnArrival(std::size_t index);
   void Dispatch(std::size_t index);
   void OnComplete(std::unique_ptr<Request> request);
@@ -57,11 +74,18 @@ class Frontend {
 
   enum class State { kPending, kArrived, kDispatched, kCompleted };
   std::vector<State> states_;
-  std::map<std::int64_t, int> session_completed_turns_;
+  std::unordered_map<std::int64_t, int> session_completed_turns_;
   // session -> indices of arrived-but-held requests.
-  std::map<std::int64_t, std::vector<std::size_t>> held_;
-  std::map<std::int64_t, std::size_t> index_by_id_;
+  std::unordered_map<std::int64_t, std::vector<std::size_t>> held_;
 
+  // Trace indices in firing order, the serial reserved for index 0, and
+  // how many arrivals have been scheduled so far.
+  std::vector<std::size_t> arrival_order_;
+  sim::EventId first_arrival_id_ = sim::kInvalidEventId;
+  sim::Time start_ = 0;
+  std::size_t next_arrival_ = 0;
+
+  std::size_t arrived_ = 0;
   std::size_t dispatched_ = 0;
   std::size_t completed_ = 0;
   sim::Time last_completion_ = 0;

@@ -61,7 +61,7 @@ const Simulator::HeapEntry* Simulator::PeekLive() {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_[0];
     // A cancelled event freed its slot; the slot's id no longer matches
-    // (freed, or already recycled by a newer event), marking the entry
+    // (freed, or already recycled by another event), marking the entry
     // as a tombstone.
     if (pool_[top.slot].id == top.id) return &top;
     HeapPopTop();
@@ -71,17 +71,44 @@ const Simulator::HeapEntry* Simulator::PeekLive() {
 
 // --- Scheduling API --------------------------------------------------------
 
-EventHandle Simulator::ScheduleAt(Time when, Callback cb) {
-  MUX_CHECK(when >= now_);
+EventHandle Simulator::Push(Time when, EventId id, Callback cb) {
   MUX_CHECK(cb != nullptr);
   const std::uint32_t slot = AllocSlot();
   Event& event = pool_[slot];
   event.when = when;
-  event.id = next_id_++;
+  event.id = id;
   event.callback = std::move(cb);
-  HeapPush(HeapEntry{when, event.id, slot});
+  HeapPush(HeapEntry{when, id, slot});
   ++live_events_;
-  return EventHandle{event.id, slot};
+  return EventHandle{id, slot};
+}
+
+EventHandle Simulator::ScheduleAt(Time when, Callback cb) {
+  MUX_CHECK(when >= now_);
+  return Push(when, next_id_++, std::move(cb));
+}
+
+EventId Simulator::ReserveIds(std::size_t n) {
+  MUX_CHECK(n > 0);
+  const EventId first = next_id_;
+  next_id_ += n;
+  reservations_.push_back(Reservation{first, std::vector<bool>(n, true), n});
+  return first;
+}
+
+EventHandle Simulator::ScheduleReserved(Time when, EventId id, Callback cb) {
+  auto it = std::find_if(
+      reservations_.begin(), reservations_.end(),
+      [id](const Reservation& r) {
+        return id >= r.first && id - r.first < r.unused.size();
+      });
+  MUX_CHECK(it != reservations_.end());
+  MUX_CHECK(it->unused[id - it->first]);
+  MUX_CHECK(when >= now_);
+  MUX_CHECK(when > last_executed_.when || id > last_executed_.id);
+  it->unused[id - it->first] = false;
+  if (--it->remaining == 0) reservations_.erase(it);
+  return Push(when, id, std::move(cb));
 }
 
 EventHandle Simulator::ScheduleAfter(Duration delay, Callback cb) {
@@ -92,7 +119,7 @@ EventHandle Simulator::ScheduleAfter(Duration delay, Callback cb) {
 bool Simulator::Cancel(EventHandle handle) {
   // The slot still holds the handle's serial only while the event is
   // pending: firing or cancelling frees the slot, and a recycled slot
-  // carries a newer, larger serial.
+  // carries a different serial (no serial is used twice).
   if (handle.id == kInvalidEventId || handle.slot >= pool_.size() ||
       pool_[handle.slot].id != handle.id) {
     return false;
@@ -127,6 +154,7 @@ void Simulator::ExecuteTop() {
   MUX_CHECK(live_events_ > 0);
   --live_events_;
   ++executed_;
+  last_executed_ = ExecutedEvent{entry.when, entry.id};
   FoldDigest(entry.when, entry.id);
   if (log_ != nullptr) log_->push_back(ExecutedEvent{entry.when, entry.id});
   callback();

@@ -13,8 +13,10 @@
 namespace muxwise::sim {
 
 /**
- * Monotonic event serial: the FIFO tie-break between same-time events
- * and the value folded into the event digest.
+ * Event serial: the FIFO tie-break between same-time events and the
+ * value folded into the event digest. Serials are handed out in
+ * increasing order, either at scheduling time or in advance by
+ * Simulator::ReserveIds(), and each is used at most once.
  */
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
@@ -42,14 +44,14 @@ struct EventHandle {
  *    free list, so steady-state scheduling allocates nothing.
  *  - The ready queue is a hand-rolled binary min-heap of POD entries
  *    (when, id, slot). Comparisons read only the entry — no pointer
- *    chasing, no reference counting — and the monotonic id doubles as
+ *    chasing, no reference counting — and the unique id doubles as
  *    the FIFO tie-break serial for same-timestamp events *and* as the
  *    staleness witness for cancelled entries (a heap entry whose id no
  *    longer matches its pool slot is a tombstone, skipped on pop).
  *  - Cancellation is O(1) with no map: an EventHandle carries the
  *    event's slot, and the slot still holding the handle's serial proves
  *    the event is pending (a fired or cancelled event freed its slot, and
- *    a recycled slot holds a newer, larger serial).
+ *    a recycled slot holds a different serial, since none is reused).
  *
  * None of this changes observable ordering: events still execute in
  * exactly (when, id) order, so event-stream digests are bit-identical
@@ -84,6 +86,22 @@ class Simulator {
 
   /** Schedules `cb` to run `delay` after the current time. */
   EventHandle ScheduleAfter(Duration delay, Callback cb);
+
+  /**
+   * Reserves `n` consecutive event serials and returns the first. Each
+   * may later be passed to ScheduleReserved() once; the event then
+   * tie-breaks exactly as if it had been scheduled now. This lets a
+   * caller keep one pending event per sequence (say, a trace's next
+   * arrival) without changing the execution order or the digest.
+   */
+  EventId ReserveIds(std::size_t n);
+
+  /**
+   * Schedules `cb` at `when` under serial `id`, which must come from
+   * ReserveIds() and not have been scheduled yet. `(when, id)` must sort
+   * after the last executed event, so the (when, id) order stays total.
+   */
+  EventHandle ScheduleReserved(Time when, EventId id, Callback cb);
 
   /**
    * Cancels a pending event. Safe to call with a default handle or one
@@ -162,7 +180,7 @@ class Simulator {
   /** Heap entry: everything a comparison or a staleness check needs. */
   struct HeapEntry {
     Time when = 0;
-    EventId id = kInvalidEventId;  // Monotonic FIFO tie-break serial.
+    EventId id = kInvalidEventId;  // Unique FIFO tie-break serial.
     std::uint32_t slot = 0;
   };
 
@@ -197,12 +215,24 @@ class Simulator {
   /** Folds one executed event into the stream digest. */
   void FoldDigest(Time when, EventId id);
 
+  /** Pushes a live event under serial `id`; the scheduling calls' tail. */
+  EventHandle Push(Time when, EventId id, Callback cb);
+
+  /** One ReserveIds() range and which of its serials are still unused. */
+  struct Reservation {
+    EventId first = kInvalidEventId;
+    std::vector<bool> unused;
+    std::size_t remaining = 0;
+  };
+
   Time now_ = kTimeZero;
   EventId next_id_ = 1;
   std::size_t executed_ = 0;
   std::uint64_t digest_ = 0x9e3779b97f4a7c15ULL;
   std::size_t live_events_ = 0;
   std::vector<ExecutedEvent>* log_ = nullptr;
+  ExecutedEvent last_executed_;
+  std::vector<Reservation> reservations_;
 
   std::vector<Event> pool_;
   std::uint32_t free_head_ = kNoFreeSlot;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "serve/engine.h"
@@ -144,6 +147,74 @@ TEST(FrontendTest, TracksCompletionCountsAndLastCompletion) {
   EXPECT_EQ(frontend.completed(), 5u);
   EXPECT_GT(frontend.last_completion(), 0);
   EXPECT_EQ(frontend.last_completion(), simulator.Now());
+}
+
+TEST(FrontendTest, StartLeavesOnlyTheFirstArrivalPending) {
+  sim::Simulator simulator;
+  FakeEngine engine(&simulator, sim::Milliseconds(10));
+  const workload::Trace trace = workload::GenerateTrace(
+      workload::Dataset::kShareGpt, 30, 5.0, 11);
+  MetricsCollector metrics;
+  Frontend frontend(&simulator, &engine, &trace, &metrics);
+  frontend.Start();
+  EXPECT_EQ(simulator.PendingEvents(), 1u);
+  EXPECT_EQ(frontend.arrived(), 0u);
+  simulator.Run();
+  EXPECT_EQ(frontend.arrived(), 30u);
+  EXPECT_TRUE(frontend.AllCompleted());
+}
+
+/** Single-turn requests, id 100 + index, arriving at `arrivals` seconds. */
+workload::Trace SingleTurnTrace(const std::vector<double>& arrivals) {
+  workload::Trace trace;
+  trace.name = "unsorted";
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    workload::RequestSpec spec;
+    spec.id = 100 + static_cast<std::int64_t>(i);
+    spec.arrival_seconds = arrivals[i];
+    spec.session = spec.id;
+    spec.prompt = {{spec.id, 0, 100}};
+    spec.full_seq = {{spec.id, 0, 110}};
+    spec.input_tokens = 100;
+    spec.output_tokens = 10;
+    trace.requests.push_back(spec);
+  }
+  return trace;
+}
+
+TEST(FrontendTest, UnsortedTraceDispatchesInArrivalThenIndexOrder) {
+  sim::Simulator simulator;
+  FakeEngine engine(&simulator, sim::Milliseconds(10));
+  const workload::Trace trace = SingleTurnTrace({0.3, 0.1, 0.3, 0.0, 0.1});
+  MetricsCollector metrics;
+  Frontend frontend(&simulator, &engine, &trace, &metrics);
+  frontend.Start();
+  simulator.Run();
+  EXPECT_TRUE(frontend.AllCompleted());
+  const std::vector<std::pair<std::int64_t, sim::Time>> expected = {
+      {103, 0},
+      {101, sim::Seconds(0.1)},
+      {104, sim::Seconds(0.1)},
+      {100, sim::Seconds(0.3)},
+      {102, sim::Seconds(0.3)}};
+  EXPECT_EQ(engine.dispatch_times, expected);
+}
+
+TEST(FrontendTest, ArrivalsBeforeStartClampToNowInIndexOrder) {
+  sim::Simulator simulator;
+  simulator.RunUntil(sim::Milliseconds(200));
+  FakeEngine engine(&simulator, sim::Milliseconds(10));
+  const workload::Trace trace = SingleTurnTrace({0.3, 0.1, 0.25, 0.0});
+  MetricsCollector metrics;
+  Frontend frontend(&simulator, &engine, &trace, &metrics);
+  frontend.Start();
+  simulator.Run();
+  const std::vector<std::pair<std::int64_t, sim::Time>> expected = {
+      {101, sim::Milliseconds(200)},
+      {103, sim::Milliseconds(200)},
+      {102, sim::Seconds(0.25)},
+      {100, sim::Seconds(0.3)}};
+  EXPECT_EQ(engine.dispatch_times, expected);
 }
 
 }  // namespace

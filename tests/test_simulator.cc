@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
@@ -293,6 +296,124 @@ TEST(SimulatorPropertyTest, MatchesReferenceModelUnderRandomWorkload) {
     for (const Ref& r : live) expected.push_back(r.tag);
     EXPECT_EQ(executed, expected) << "seed " << seed;
   }
+}
+
+/**
+ * Runs `at.size()` arrivals, each scheduling a same-tick and a later
+ * follow-up, between events scheduled before and after the arrivals.
+ * Eagerly, every arrival is scheduled up front; lazily, serials are
+ * reserved up front and each arrival schedules the next in (when, index)
+ * order. Returns the digest and the executed (when, id) stream.
+ */
+std::pair<std::uint64_t, std::vector<Simulator::ExecutedEvent>> RunArrivals(
+    const std::vector<Time>& at, bool lazy) {
+  Simulator simulator;
+  std::vector<Simulator::ExecutedEvent> log;
+  simulator.SetExecutionLog(&log);
+  simulator.ScheduleAt(Milliseconds(3), [] {});
+  auto arrive = [&simulator](std::size_t i) {
+    simulator.ScheduleAfter(0, [] {});
+    simulator.ScheduleAfter(Milliseconds(static_cast<Time>(i % 3)), [] {});
+  };
+  std::vector<std::size_t> order(at.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(
+      order.begin(), order.end(),
+      [&at](std::size_t a, std::size_t b) { return at[a] < at[b]; });
+  std::function<void(std::size_t)> release;
+  if (lazy) {
+    const EventId first = simulator.ReserveIds(at.size());
+    release = [&, first](std::size_t k) {
+      if (k == order.size()) return;
+      const std::size_t i = order[k];
+      simulator.ScheduleReserved(at[i], first + i, [&, k, i] {
+        release(k + 1);
+        arrive(i);
+      });
+    };
+    release(0);
+  } else {
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      simulator.ScheduleAt(at[i], [&arrive, i] { arrive(i); });
+    }
+  }
+  simulator.ScheduleAt(Milliseconds(5), [] {});
+  simulator.Run();
+  return {simulator.EventDigest(), log};
+}
+
+TEST(SimulatorTest, ReservedSerialsOrderLikeEagerScheduling) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    // Few distinct ticks, so same-tick ties are the common case.
+    std::vector<Time> at;
+    for (int i = 0; i < 60; ++i) {
+      at.push_back(Milliseconds(rng.UniformInt(0, 8)));
+    }
+    const auto [eager_digest, eager_log] = RunArrivals(at, /*lazy=*/false);
+    const auto [lazy_digest, lazy_log] = RunArrivals(at, /*lazy=*/true);
+    EXPECT_EQ(lazy_digest, eager_digest) << "seed " << seed;
+    ASSERT_EQ(lazy_log.size(), eager_log.size()) << "seed " << seed;
+    for (std::size_t e = 0; e < eager_log.size(); ++e) {
+      EXPECT_EQ(lazy_log[e].when, eager_log[e].when) << e;
+      EXPECT_EQ(lazy_log[e].id, eager_log[e].id) << e;
+    }
+  }
+}
+
+TEST(SimulatorTest, ReservedEventsCountAsPendingAndCancel) {
+  Simulator simulator;
+  const EventId first = simulator.ReserveIds(2);
+  bool fired = false;
+  const EventHandle handle =
+      simulator.ScheduleReserved(Milliseconds(1), first + 1, [] {});
+  simulator.ScheduleReserved(Milliseconds(2), first, [&] { fired = true; });
+  EXPECT_EQ(simulator.PendingEvents(), 2u);
+  EXPECT_TRUE(simulator.Cancel(handle));
+  // Serials handed out after the reservation follow it.
+  EXPECT_EQ(simulator.ScheduleAt(Milliseconds(2), [] {}).id, first + 2);
+  simulator.Run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(simulator.ExecutedEvents(), 2u);
+}
+
+TEST(SimulatorDeathTest, UnreservedSerialIsRejected) {
+  EXPECT_DEATH(
+      {
+        Simulator simulator;
+        simulator.ScheduleReserved(Milliseconds(1), 1, [] {});
+      },
+      "MUX_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Simulator simulator;
+        const EventId taken = simulator.ScheduleAt(Milliseconds(1), [] {}).id;
+        simulator.ReserveIds(1);
+        simulator.ScheduleReserved(Milliseconds(1), taken, [] {});
+      },
+      "MUX_CHECK failed");
+  EXPECT_DEATH(
+      {
+        Simulator simulator;
+        const EventId first = simulator.ReserveIds(2);
+        simulator.ScheduleReserved(Milliseconds(1), first, [] {});
+        simulator.ScheduleReserved(Milliseconds(2), first, [] {});
+      },
+      "MUX_CHECK failed");
+}
+
+TEST(SimulatorDeathTest, ReservedEventBeforeLastExecutedIsRejected) {
+  EXPECT_DEATH(
+      {
+        Simulator simulator;
+        const EventId first = simulator.ReserveIds(2);
+        simulator.ScheduleReserved(Milliseconds(1), first + 1, [] {});
+        simulator.Run();
+        // Same tick as the executed event, but a smaller serial: it
+        // would have run first, so scheduling it now breaks the order.
+        simulator.ScheduleReserved(Milliseconds(1), first, [] {});
+      },
+      "MUX_CHECK failed");
 }
 
 TEST(TimeTest, ConversionRoundTrips) {
