@@ -74,9 +74,7 @@ DriveResult DriveScenario(sim::Simulator& simulator,
                           const workload::Trace& trace,
                           const RunConfig& config) {
   DriveResult result;
-  const double last_arrival =
-      trace.requests.empty() ? 0.0
-                             : trace.requests.back().arrival_seconds;
+  const double last_arrival = trace.LatestArrivalSeconds();
   double drain = config.drain_timeout_seconds;
   if (config.steady_state) {
     drain = std::min(drain, std::max(30.0, 0.35 * trace.SpanSeconds()));
@@ -89,7 +87,9 @@ DriveResult DriveScenario(sim::Simulator& simulator,
         "event budget of " + std::to_string(config.event_budget) +
         " exhausted at " + sim::FormatDuration(simulator.Now()) + " with " +
         std::to_string(simulator.PendingEvents()) +
-        " events still pending before the drain horizon; livelocked "
+        " events still pending and " +
+        std::to_string(trace.requests.size() - frontend.arrived()) +
+        " requests not yet arrived before the drain horizon; livelocked "
         "scheduler?";
     return result;
   }

@@ -259,10 +259,11 @@ struct DriveResult {
 };
 
 /**
- * Drives an already-started scenario (frontend arrivals scheduled)
- * under `config`'s bounds: events run until the drain horizon after the
- * last arrival, then — if work remains — through one bounded backlog
- * drain so partial statistics survive. Both phases respect
+ * Drives an already-started scenario (Frontend::Start() called) under
+ * `config`'s bounds: events run until the drain horizon after the
+ * latest arrival (the trace need not be sorted), then — if work
+ * remains — through one bounded backlog drain so partial statistics
+ * survive. Both phases respect
  * `config.event_budget`, so a livelocked engine terminates with a
  * diagnostic rather than hanging the process (the enforcement behind
  * RunConfig::drain_timeout_seconds).

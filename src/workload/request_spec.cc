@@ -58,6 +58,13 @@ double Trace::SpanSeconds() const {
   return hi - lo;
 }
 
+double Trace::LatestArrivalSeconds() const {
+  if (requests.empty()) return 0.0;
+  double hi = requests.front().arrival_seconds;
+  for (const RequestSpec& r : requests) hi = std::max(hi, r.arrival_seconds);
+  return hi;
+}
+
 std::vector<double> Trace::RateCurve(double bucket_seconds) const {
   std::vector<double> curve;
   if (requests.empty() || bucket_seconds <= 0.0) return curve;

@@ -78,6 +78,9 @@ struct Trace {
   /** Duration from first to last arrival, seconds. */
   double SpanSeconds() const;
 
+  /** Latest arrival time, seconds (0 for an empty trace); any order. */
+  double LatestArrivalSeconds() const;
+
   /** Request counts per `bucket_seconds` bucket (Fig. 13 rate curve). */
   std::vector<double> RateCurve(double bucket_seconds) const;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -625,6 +626,10 @@ TEST(DriveScenarioTest, LivelockedEngineTerminatesWithDiagnostic) {
   EXPECT_FALSE(result.stable);
   EXPECT_NE(result.diagnostic.find("livelock"), std::string::npos)
       << result.diagnostic;
+  // The engine spins on the first request, so the second never arrives.
+  EXPECT_NE(result.diagnostic.find("1 requests not yet arrived"),
+            std::string::npos)
+      << result.diagnostic;
 }
 
 TEST(DriveScenarioTest, StalledEngineHitsDrainTimeoutWithDiagnostic) {
@@ -660,6 +665,27 @@ TEST(DriveScenarioTest, HealthyRunIsStableWithNoDiagnostic) {
                              harness::RunConfig());
   EXPECT_TRUE(result.stable);
   EXPECT_TRUE(result.diagnostic.empty()) << result.diagnostic;
+}
+
+TEST(DriveScenarioTest, DrainHorizonFollowsTheLatestArrival) {
+  // The earliest request moved to the back: the last request in the
+  // trace is no longer the last to arrive, and the drain timeout must
+  // count from the latest arrival, not from the last entry.
+  const serve::Deployment d = Llama70bA100();
+  const core::ContentionEstimator estimator =
+      core::ContentionEstimator::BuildOffline(d);
+  workload::Trace trace =
+      workload::GenerateTrace(workload::Dataset::kShareGpt, 40, 1.0, 301);
+  std::rotate(trace.requests.begin(), trace.requests.begin() + 1,
+              trace.requests.end());
+  for (const double drain : {8.0, 10.0, 15.0}) {
+    harness::RunConfig config;
+    config.drain_timeout_seconds = drain;
+    const harness::RunOutcome outcome = harness::RunWorkload(
+        harness::EngineKind::kMuxWise, d, trace, &estimator, config);
+    EXPECT_EQ(outcome.completed, 40u) << drain;
+    EXPECT_TRUE(outcome.stable) << drain << ": " << outcome.diagnostic;
+  }
 }
 
 }  // namespace
