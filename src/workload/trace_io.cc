@@ -1,10 +1,12 @@
 #include "workload/trace_io.h"
 
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <unordered_set>
 
 #include "kv/token_seq.h"
 #include "sim/logging.h"
@@ -131,6 +133,8 @@ Trace ReadTrace(std::istream& in) {
   Trace trace;
   std::string line;
   int line_number = 0;
+  // Engines key requests by id, so a repeated id would corrupt them.
+  std::unordered_set<std::int64_t> ids;
 
   // Header.
   if (!std::getline(in, line)) sim::Fatal("trace file is empty");
@@ -151,8 +155,16 @@ Trace ReadTrace(std::istream& in) {
     RequestSpec spec;
     scanner.Seek("id");
     spec.id = scanner.Integer();
+    if (!ids.insert(spec.id).second) {
+      sim::Fatal("trace parse error at line " + std::to_string(line_number) +
+                 ": duplicate id " + std::to_string(spec.id));
+    }
     scanner.Seek("arrival_s");
     spec.arrival_seconds = scanner.Number();
+    if (!std::isfinite(spec.arrival_seconds) || spec.arrival_seconds < 0.0) {
+      sim::Fatal("trace parse error at line " + std::to_string(line_number) +
+                 ": arrival_s must be finite and non-negative");
+    }
     scanner.Seek("session");
     spec.session = scanner.Integer();
     scanner.Seek("turn");

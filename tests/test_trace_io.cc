@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "kv/token_seq.h"
 #include "workload/datasets.h"
@@ -127,6 +128,43 @@ TEST(TraceIoDeathTest, BadSloClassIsFatal) {
   std::stringstream bad(text);
   EXPECT_EXIT(ReadTrace(bad), ::testing::ExitedWithCode(1),
               "bad SLO class");
+}
+
+/**
+ * A written two-request trace with the second request's `key` value
+ * replaced by `value` (the request sits on line 3, after the header).
+ */
+std::string TraceWithSecondValue(const std::string& key,
+                                 const std::string& value) {
+  const Trace trace = GenerateTrace(Dataset::kShareGpt, 2, 1.0, 84);
+  std::stringstream stream;
+  WriteTrace(trace, stream);
+  std::string text = stream.str();
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = text.rfind(needle) + needle.size();
+  text.replace(at, text.find(',', at) - at, value);
+  return text;
+}
+
+TEST(TraceIoDeathTest, NonFiniteArrivalIsFatal) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    std::stringstream stream(TraceWithSecondValue("arrival_s", value));
+    EXPECT_EXIT(ReadTrace(stream), ::testing::ExitedWithCode(1),
+                "line 3: arrival_s must be finite and non-negative")
+        << value;
+  }
+}
+
+TEST(TraceIoDeathTest, NegativeArrivalIsFatal) {
+  std::stringstream stream(TraceWithSecondValue("arrival_s", "-0.5"));
+  EXPECT_EXIT(ReadTrace(stream), ::testing::ExitedWithCode(1),
+              "line 3: arrival_s must be finite and non-negative");
+}
+
+TEST(TraceIoDeathTest, DuplicateIdIsFatal) {
+  std::stringstream stream(TraceWithSecondValue("id", "0"));
+  EXPECT_EXIT(ReadTrace(stream), ::testing::ExitedWithCode(1),
+              "line 3: duplicate id 0");
 }
 
 TEST(TraceIoTest, FileRoundTrip) {
